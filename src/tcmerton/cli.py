@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,9 @@ from .strategy import value_function
 from .verify import full_report
 
 FLOAT_FMT = "%.17g"
+# largest share of Monte Carlo paths that may leave the y-grid before
+# simulate and verify warn (or, with --strict, fail)
+EXIT_FRACTION_LIMIT = 0.01
 
 _SCHEMA = {
     "market": {"r", "mu", "sigma", "T"},
@@ -217,6 +219,15 @@ def _out_dir(args, cfg):
     return out
 
 
+def _check_coverage(exit_fraction, strict):
+    if exit_fraction > EXIT_FRACTION_LIMIT:
+        msg = ("%.1f%% of paths left the y-grid; results may be biased"
+               % (100 * exit_fraction))
+        if strict:
+            raise TCMertonError(msg)
+        warnings.warn(msg)
+
+
 def _solve(cfg):
     return pipeline.solve(cfg.market, cfg.utility, cfg.discount, cfg.grid,
                           tol=cfg.tol, max_iter=cfg.max_iter,
@@ -226,9 +237,7 @@ def _solve(cfg):
 def cmd_solve(args):
     cfg = RunConfig.from_file(args.config)
     out = _out_dir(args, cfg)
-    t_start = time.time()
     result = _solve(cfg)
-    elapsed = time.time() - t_start
     g = cfg.grid
     write_field_csv(os.path.join(out, "rho_bar.csv"), g,
                     result.rho.values, "rho_bar")
@@ -251,7 +260,6 @@ def cmd_solve(args):
         "residual_sup": result.rho.residual_sup,
         "residual_history": result.rho.residual_history,
         "kappa": result.kappa,
-        "elapsed_seconds": elapsed,
     })
     with open(os.path.join(out, "meta.json"), "w") as f:
         json.dump(meta, f, indent=2)
@@ -280,12 +288,7 @@ def cmd_simulate(args):
                      result.strategy, result.pbar, x0, t0=t0,
                      n_steps=cfg.n_steps, n_paths=cfg.n_paths, seed=seed,
                      antithetic=cfg.antithetic)
-    if ens.exit_fraction > 0.01:
-        msg = ("%.1f%% of paths left the y-grid; results may be biased"
-               % (100 * ens.exit_fraction))
-        if args.strict:
-            raise TCMertonError(msg)
-        warnings.warn(msg)
+    _check_coverage(ens.exit_fraction, args.strict)
     write_paths_csv(os.path.join(out, "paths.csv"), ens)
     summary = _model_meta(cfg)
     summary.update({
@@ -316,6 +319,7 @@ def cmd_verify(args):
         json.dump(report.to_dict(), f, indent=2)
     for line in report.summary_lines():
         print(line)
+    _check_coverage(report.exit_fraction, args.strict)
     return 0 if report.passed else 1
 
 

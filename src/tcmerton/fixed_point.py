@@ -199,6 +199,12 @@ def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
     to decrease.  Raises ConvergenceError with the residual history on
     exhaustion of max_iter.
     """
+    if not 0 < damping <= 1:
+        raise ModelError("damping must lie in (0, 1], got %r" % (damping,))
+    if max_iter < 1:
+        raise ModelError("max_iter must be at least 1, got %r" % (max_iter,))
+    if not tol > 0:
+        raise ModelError("tol must be positive, got %r" % (tol,))
     ws = workspace or OperatorWorkspace(market, utility, discount, grid,
                                         boundary)
     rho_norm = discount.rho_norm(grid.T)

@@ -7,11 +7,19 @@ Y satisfies
 
 which for phi = rho_bar is the equilibrium state process, and the
 equilibrium wealth path is recovered from the identity X_s =
-pbar(s, Y_s).  Estimators never store full increment arrays: Brownian
-increments are generated in fixed-size blocks from a counter-keyed
-generator, so two simulations with the same seed, path count and step
-count consume identical increments (common random numbers) without any
-storage.  Antithetic pairing interleaves each draw with its negation.
+pbar(s, Y_s).
+
+One engine, ``stream_paths``, takes every Euler step: of Y, and of
+log wealth under feedback controls when an initial wealth is given.
+It hands the state at each grid time to an accumulator, and every
+estimator here (and the wealth identity in ``verify``) is such an
+accumulator plus its post-processing.  The engine streams: it holds
+only the current state, never full paths.  Brownian increments come in
+fixed-size blocks from a counter-keyed generator, so two simulations
+with the same seed, path count and step count consume identical
+increments (common random numbers) without any storage.  Antithetic
+pairing interleaves each draw with its negation; pairs are averaged
+before a standard error is formed.
 """
 
 from dataclasses import dataclass
@@ -44,20 +52,71 @@ def _blocks(n_paths, n_steps, seed, antithetic):
         start += m
 
 
-def _check_paths(n_paths, antithetic):
+def _step(market, t0, n_steps):
+    """Euler step size on [t0, T], after checking t0 and n_steps."""
+    if not 0 <= t0 < market.T:
+        raise ModelError("t0 must lie in [0, T)")
+    if int(n_steps) < 1:
+        raise ModelError("need at least one time step")
+    return (market.T - t0) / int(n_steps)
+
+
+def _paired(per_path, antithetic):
+    """Per-path samples, with antithetic pairs averaged into one."""
+    a = np.asarray(per_path, dtype=float)
+    return 0.5 * (a[0::2] + a[1::2]) if antithetic else a
+
+
+def mean_se(per_path, antithetic):
+    """Mean and standard error; antithetic pairs are averaged first."""
+    a = _paired(per_path, antithetic)
+    return float(a.mean()), float(a.std(ddof=1) / np.sqrt(len(a)))
+
+
+def stream_paths(market, phi, t0, n_steps, n_paths, seed, antithetic, y0,
+                 accumulate, x0=None, controls=None):
+    """Euler-step Y from y0 under the rate field phi (a ScalarField2D
+    or RhoField, or None for the zero field), and log wealth from x0
+    under controls(t, y) -> (pi, c) when x0 is given.
+
+    Calls accumulate(sl, k, t, y, lx, pi, c) for the paths sl at every
+    grid time k = 0..n_steps.  lx is log wealth (None without x0); pi
+    and c are the controls that drive the step out of time t, so they
+    are None at k = n_steps and without x0.  Returns the per-path flags
+    of the paths that left phi's y-grid at some step.
+    """
     if n_paths < 2:
         raise ModelError("need at least 2 paths")
     if antithetic and n_paths % 2:
         raise ModelError("antithetic sampling needs an even path count")
-
-
-def _mean_se(per_path, antithetic):
-    """Mean and standard error; antithetic pairs are averaged first."""
-    a = np.asarray(per_path, dtype=float)
-    if antithetic:
-        a = 0.5 * (a[0::2] + a[1::2])
-    n = len(a)
-    return float(a.mean()), float(a.std(ddof=1) / np.sqrt(n))
+    dt = _step(market, t0, n_steps)
+    n_steps, t0 = int(n_steps), float(t0)
+    sdt = np.sqrt(dt)
+    sigma, theta, r = market.sigma, market.theta, market.r
+    if phi is None:
+        y_lo, y_hi = -np.inf, np.inf
+    else:
+        y_lo, y_hi = float(phi.grid.y_nodes[0]), float(phi.grid.y_nodes[-1])
+    exited = np.zeros(n_paths, dtype=bool)
+    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
+        y = np.full(sl.stop - sl.start, float(y0))
+        lx = None if x0 is None else np.full(len(y), float(np.log(x0)))
+        for k in range(n_steps + 1):
+            t = t0 + k * dt
+            pi = c = None
+            if lx is not None and k < n_steps:
+                pi, c = controls(t, y)
+            accumulate(sl, k, t, y, lx, pi, c)
+            if k == n_steps:
+                break
+            z = sdt * dw[:, k]
+            if lx is not None:
+                lx = lx + (r + pi * sigma * theta - c
+                           - 0.5 * pi ** 2 * sigma ** 2) * dt + pi * sigma * z
+            rate = 0.0 if phi is None else phi(t, y)
+            y = y + (rate - r - 0.5 * theta ** 2) * dt - theta * z
+            exited[sl] |= (y < y_lo) | (y > y_hi)
+    return exited
 
 
 @dataclass
@@ -88,68 +147,34 @@ class MCEstimate:
     exit_fraction: float = 0.0
 
 
-def _record_indices(n_steps, stride):
-    idx = list(range(0, n_steps + 1, max(int(stride), 1)))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx)
+def _record(market, phi, y0, t0, n_steps, n_paths, seed, antithetic,
+            record_stride, x0=None, controls=None):
+    """Paths recorded at every record_stride-th grid time and at T."""
+    rec = np.union1d(np.arange(0, n_steps + 1, max(int(record_stride), 1)),
+                     [n_steps])
+    col = {k: j for j, k in enumerate(rec)}
+    times = np.empty(len(rec))
+    Y = np.empty((n_paths, len(rec)))
+    X = None if x0 is None else np.empty_like(Y)
 
+    def accumulate(sl, k, t, y, lx, pi, c):
+        j = col.get(k)
+        if j is not None:
+            times[j] = t
+            Y[sl, j] = y
+            if X is not None:
+                X[sl, j] = np.exp(lx)
 
-class _Driver:
-    """Euler stepping of Y under a rate field phi (RhoField,
-    ScalarField2D or None for the zero field)."""
-
-    def __init__(self, market, phi, t0, n_steps):
-        self.market = market
-        self.phi = phi
-        self.t0 = float(t0)
-        if not 0 <= t0 < market.T:
-            raise ModelError("t0 must lie in [0, T)")
-        self.n_steps = int(n_steps)
-        if self.n_steps < 1:
-            raise ModelError("need at least one time step")
-        self.dt = (market.T - t0) / self.n_steps
-        if phi is not None:
-            g = phi.grid
-            self.y_lo, self.y_hi = float(g.y_nodes[0]), float(g.y_nodes[-1])
-        else:
-            self.y_lo, self.y_hi = -np.inf, np.inf
-
-    def rate(self, t, y):
-        return 0.0 if self.phi is None else self.phi(t, y)
-
-    def drift(self, t, y):
-        m = self.market
-        return self.rate(t, y) - m.r - 0.5 * m.theta ** 2
-
-    def time(self, k):
-        return self.t0 + k * self.dt
+    exited = stream_paths(market, phi, t0, n_steps, n_paths, seed,
+                          antithetic, y0, accumulate, x0, controls)
+    return PathEnsemble(times, Y, X, exited, seed, antithetic)
 
 
 def simulate_Y(market, rho, y0, t0=0.0, n_steps=200, n_paths=10000,
                seed=0, antithetic=True, record_stride=1):
     """Paths of the state process started at Y_{t0} = y0."""
-    _check_paths(n_paths, antithetic)
-    drv = _Driver(market, rho, t0, n_steps)
-    rec = _record_indices(n_steps, record_stride)
-    out = np.empty((n_paths, len(rec)))
-    exited = np.zeros(n_paths, dtype=bool)
-    sdt = np.sqrt(drv.dt)
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        y = np.full(sl.stop - sl.start, float(y0))
-        pos = 0
-        if rec[0] == 0:
-            out[sl, 0] = y
-            pos = 1
-        for k in range(n_steps):
-            t = drv.time(k)
-            y = y + drv.drift(t, y) * drv.dt - market.theta * sdt * dw[:, k]
-            exited[sl] |= (y < drv.y_lo) | (y > drv.y_hi)
-            if pos < len(rec) and rec[pos] == k + 1:
-                out[sl, pos] = y
-                pos += 1
-    times = drv.time(rec)
-    return PathEnsemble(times, out, None, exited, seed, antithetic)
+    return _record(market, rho, y0, t0, n_steps, n_paths, seed, antithetic,
+                   record_stride)
 
 
 def simulate_wealth(market, rho, strategy, pbar, x0, t0=0.0, n_steps=200,
@@ -163,39 +188,9 @@ def simulate_wealth(market, rho, strategy, pbar, x0, t0=0.0, n_steps=200,
     a callable (t, y_array) -> (pi_array, c_array) with c the
     consumption fraction of wealth.
     """
-    _check_paths(n_paths, antithetic)
-    drv = _Driver(market, rho, t0, n_steps)
-    if controls is None:
-        controls = lambda t, y: (strategy.pi_at(t, y), strategy.c_at(t, y))
-    y0 = pbar.invert(t0, x0)
-    rec = _record_indices(n_steps, record_stride)
-    Y = np.empty((n_paths, len(rec)))
-    X = np.empty((n_paths, len(rec)))
-    exited = np.zeros(n_paths, dtype=bool)
-    sdt = np.sqrt(drv.dt)
-    sigma, theta, r = market.sigma, market.theta, market.r
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        y = np.full(sl.stop - sl.start, float(y0))
-        lx = np.full(sl.stop - sl.start, float(np.log(x0)))
-        pos = 0
-        if rec[0] == 0:
-            Y[sl, 0] = y
-            X[sl, 0] = np.exp(lx)
-            pos = 1
-        for k in range(n_steps):
-            t = drv.time(k)
-            pi, c = controls(t, y)
-            z = sdt * dw[:, k]
-            lx = lx + (r + pi * sigma * theta - c
-                       - 0.5 * pi ** 2 * sigma ** 2) * drv.dt + pi * sigma * z
-            y = y + drv.drift(t, y) * drv.dt - theta * z
-            exited[sl] |= (y < drv.y_lo) | (y > drv.y_hi)
-            if pos < len(rec) and rec[pos] == k + 1:
-                Y[sl, pos] = y
-                X[sl, pos] = np.exp(lx)
-                pos += 1
-    times = drv.time(rec)
-    return PathEnsemble(times, Y, X, exited, seed, antithetic)
+    return _record(market, rho, pbar.invert(t0, x0), t0, n_steps, n_paths,
+                   seed, antithetic, record_stride, x0,
+                   controls or strategy.controls)
 
 
 def estimate_J(market, utility, discount, rho, strategy, pbar, x0, t0=0.0,
@@ -208,35 +203,22 @@ def estimate_J(market, utility, discount, rho, strategy, pbar, x0, t0=0.0,
     two runs with the same seed can be differenced pathwise (common
     random numbers) for a low-variance comparison.
     """
-    _check_paths(n_paths, antithetic)
-    drv = _Driver(market, rho, t0, n_steps)
-    if controls is None:
-        controls = lambda t, y: (strategy.pi_at(t, y), strategy.c_at(t, y))
-    y0 = pbar.invert(t0, x0)
-    acc = np.empty(n_paths)
-    exited = np.zeros(n_paths, dtype=bool)
-    sdt = np.sqrt(drv.dt)
-    sigma, theta, r = market.sigma, market.theta, market.r
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        m = sl.stop - sl.start
-        y = np.full(m, float(y0))
-        lx = np.full(m, float(np.log(x0)))
-        run = np.zeros(m)
-        for k in range(n_steps + 1):
-            t = drv.time(k)
+    dt = _step(market, t0, n_steps)
+    controls = controls or strategy.controls
+    acc = np.zeros(n_paths)
+
+    def accumulate(sl, k, t, y, lx, pi, c):
+        if k == n_steps:
             pi, c = controls(t, y)
-            w = drv.dt if 0 < k < n_steps else 0.5 * drv.dt
-            run += w * discount.h(t0, t) * utility.U(c * np.exp(lx))
-            if k == n_steps:
-                break
-            z = sdt * dw[:, k]
-            lx = lx + (r + pi * sigma * theta - c
-                       - 0.5 * pi ** 2 * sigma ** 2) * drv.dt + pi * sigma * z
-            y = y + drv.drift(t, y) * drv.dt - theta * z
-            exited[sl] |= (y < drv.y_lo) | (y > drv.y_hi)
-        run += discount.h(t0, market.T) * utility.U(np.exp(lx))
-        acc[sl] = run
-    value, se = _mean_se(acc, antithetic)
+        w = dt if 0 < k < n_steps else 0.5 * dt
+        acc[sl] += w * discount.h(t0, t) * utility.U(c * np.exp(lx))
+        if k == n_steps:
+            acc[sl] += discount.h(t0, market.T) * utility.U(np.exp(lx))
+
+    exited = stream_paths(market, rho, t0, n_steps, n_paths, seed,
+                          antithetic, pbar.invert(t0, x0), accumulate, x0,
+                          controls)
+    value, se = mean_se(acc, antithetic)
     est = MCEstimate(value, se, n_paths, float(np.mean(exited)))
     return (est, acc) if return_per_path else est
 
@@ -251,45 +233,29 @@ def estimate_F_mc(market, utility, discount, phi, t, y, n_steps=200,
     h-weighted time integrals.  Standard error by the delta method on
     (antithetic-paired) numerator and denominator samples.
     """
-    _check_paths(n_paths, antithetic)
-    drv = _Driver(market, phi, t, n_steps)
-    phi_y_vals = deriv_y(phi.values, phi.grid.dy)
-    phi_y = lambda s, yy: bilinear(phi.grid, phi_y_vals, s, yy)
-    A = np.empty(n_paths)  # h_t-weighted integral per path
-    B = np.empty(n_paths)  # h-weighted integral per path
-    exited = np.zeros(n_paths, dtype=bool)
-    sdt = np.sqrt(drv.dt)
-    theta = market.theta
-    T = market.T
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        m = sl.stop - sl.start
-        yy = np.full(m, float(y))
-        logw = np.zeros(m)
-        a = np.zeros(m)
-        b = np.zeros(m)
-        for k in range(n_steps + 1):
-            s = drv.time(k)
-            val = utility.U0p(yy) * np.exp(logw)
-            w = drv.dt if 0 < k < n_steps else 0.5 * drv.dt
-            a += w * discount.dh_dt(t, s) * val
-            b += w * discount.h(t, s) * val
-            if k == n_steps:
-                break
-            logw = logw + phi_y(s, yy) * drv.dt
-            yy = yy + drv.drift(s, yy) * drv.dt - theta * sdt * dw[:, k]
-            exited[sl] |= (yy < drv.y_lo) | (yy > drv.y_hi)
-        val = utility.U0p(yy) * np.exp(logw)
-        a += discount.dh_dt(t, T) * val
-        b += discount.h(t, T) * val
-        A[sl] = a
-        B[sl] = b
-    if antithetic:
-        A = 0.5 * (A[0::2] + A[1::2])
-        B = 0.5 * (B[0::2] + B[1::2])
-    n = len(A)
+    dt = _step(market, t, n_steps)
+    phi_y = deriv_y(phi.values, phi.grid.dy)
+    logw = np.zeros(n_paths)  # int_t^s phi_y(u, Y_u) du per path
+    A = np.zeros(n_paths)     # h_t-weighted integral per path
+    B = np.zeros(n_paths)     # h-weighted integral per path
+
+    def accumulate(sl, k, s, yy, lx, pi, c):
+        val = utility.U0p(yy) * np.exp(logw[sl])
+        w = dt if 0 < k < n_steps else 0.5 * dt
+        A[sl] += w * discount.dh_dt(t, s) * val
+        B[sl] += w * discount.h(t, s) * val
+        if k < n_steps:
+            logw[sl] += bilinear(phi.grid, phi_y, s, yy) * dt
+        else:
+            A[sl] += discount.dh_dt(t, market.T) * val
+            B[sl] += discount.h(t, market.T) * val
+
+    exited = stream_paths(market, phi, t, n_steps, n_paths, seed, antithetic,
+                          y, accumulate)
+    A, B = _paired(A, antithetic), _paired(B, antithetic)
     Fhat = A.mean() / B.mean()
     resid = A - Fhat * B
-    se = float(np.std(resid, ddof=1) / (np.sqrt(n) * abs(B.mean())))
+    se = float(np.std(resid, ddof=1) / (np.sqrt(len(A)) * abs(B.mean())))
     return MCEstimate(float(Fhat), se, n_paths, float(np.mean(exited)))
 
 
@@ -304,28 +270,17 @@ def estimate_pbar_mc(market, utility, rho, t, y, n_steps=200, n_paths=10000,
     when rho_bar is flat in y and a controlled approximation otherwise,
     so this estimator is a cross-check, not the primary solver.
     """
-    _check_paths(n_paths, antithetic)
-    drv = _Driver(market, rho, t, n_steps)
-    acc = np.empty(n_paths)
-    exited = np.zeros(n_paths, dtype=bool)
-    sdt = np.sqrt(drv.dt)
-    theta = market.theta
-    r = market.r
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        m = sl.stop - sl.start
-        yy = np.full(m, float(y))
-        run = np.zeros(m)
-        for k in range(n_steps + 1):
-            s = drv.time(k)
-            w = drv.dt if 0 < k < n_steps else 0.5 * drv.dt
-            run += w * np.exp(-r * (s - t)) * utility.I0(
-                yy + theta ** 2 * (s - t))
-            if k == n_steps:
-                break
-            yy = yy + drv.drift(s, yy) * drv.dt - theta * sdt * dw[:, k]
-            exited[sl] |= (yy < drv.y_lo) | (yy > drv.y_hi)
-        run += np.exp(-r * (market.T - t)) * utility.I0(
-            yy + theta ** 2 * (market.T - t))
-        acc[sl] = run
-    value, se = _mean_se(acc, antithetic)
+    dt = _step(market, t, n_steps)
+    r, theta2, T = market.r, market.theta ** 2, market.T
+    acc = np.zeros(n_paths)
+
+    def accumulate(sl, k, s, yy, lx, pi, c):
+        w = dt if 0 < k < n_steps else 0.5 * dt
+        acc[sl] += w * np.exp(-r * (s - t)) * utility.I0(yy + theta2 * (s - t))
+        if k == n_steps:
+            acc[sl] += np.exp(-r * (T - t)) * utility.I0(yy + theta2 * (T - t))
+
+    exited = stream_paths(market, rho, t, n_steps, n_paths, seed, antithetic,
+                          y, accumulate)
+    value, se = mean_se(acc, antithetic)
     return MCEstimate(value, se, n_paths, float(np.mean(exited)))

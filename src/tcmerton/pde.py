@@ -55,6 +55,9 @@ class BackwardStepper:
                  source=None, boundary="exp", q_lo=None, q_hi=None):
         if diffusion < 0:
             raise SolverError("diffusion must be >= 0")
+        if boundary not in ("exp", "linearity"):
+            raise SolverError("unknown boundary %r; expected 'exp' or "
+                              "'linearity'" % (boundary,))
         self.grid = grid
         self.D = float(diffusion)
         self.b = _coef_rows(drift, grid)

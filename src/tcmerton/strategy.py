@@ -138,6 +138,10 @@ class StrategySurface:
     def c_at(self, t, y):
         return bilinear(self.grid, self.c, t, y)
 
+    def controls(self, t, y):
+        """(pi, c) at (t, y), the callable the Monte Carlo engine takes."""
+        return self.pi_at(t, y), self.c_at(t, y)
+
 
 def controls_from_pbar(pbar: PBarField, market, utility) -> StrategySurface:
     theta, sigma = market.theta, market.sigma

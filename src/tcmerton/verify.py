@@ -15,7 +15,7 @@ from scipy.special import ndtr
 from .errors import ModelError
 from .grids import deriv_y, deriv_yy
 from .model import (CRRAUtility, ExponentialDiscount, elasticity_bounds)
-from .montecarlo import _blocks, _check_paths, estimate_F_mc, estimate_J
+from .montecarlo import estimate_F_mc, estimate_J, mean_se, stream_paths
 from .strategy import value_function
 
 # Certified constant in the Gaussian tail bound N(-x) >= C e^{-4 x^2}
@@ -164,6 +164,12 @@ class CheckResult:
                 "details": _jsonable(self.details)}
 
 
+def _max_exit(details):
+    """Largest "exit_fraction" among the dicts (0 when none has one):
+    the share of Monte Carlo paths that left the y-grid."""
+    return max((d.get("exit_fraction", 0.0) for d in details), default=0.0)
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -192,6 +198,12 @@ class VerificationReport:
             "PASS" if self.passed else "FAIL",
             sum(c.passed for c in self.checks), len(self.checks)))
         return lines
+
+    @property
+    def exit_fraction(self):
+        """Largest share of Monte Carlo paths that left the y-grid in
+        any check (0 without Monte Carlo checks)."""
+        return _max_exit(c.details for c in self.checks)
 
     def to_dict(self):
         return {"passed": bool(self.passed),
@@ -363,39 +375,19 @@ def wealth_identity_errors(result, x0, t0=0.0, n_steps=1000, n_paths=10000,
     """Per-path sup_s |X_s - pbar(s, Y_s)| / X_s along equilibrium
     paths, computed streaming so full-resolution time sampling needs no
     path storage.  Returns (errors, exit_fraction)."""
-    _check_paths(n_paths, antithetic)
-    m = result.market
-    strat = result.strategy
-    pbar = result.pbar
-    rho = result.rho.phi
-    g = result.grid
-    if not 0 <= t0 < m.T:
-        raise ModelError("t0 must lie in [0, T)")
-    dt = (m.T - t0) / n_steps
-    sdt = np.sqrt(dt)
-    sigma, theta, r = m.sigma, m.theta, m.r
-    y_lo, y_hi = float(g.y_nodes[0]), float(g.y_nodes[-1])
-    y0 = pbar.invert(t0, x0)
-    errors = np.empty(n_paths)
-    exited = np.zeros(n_paths, dtype=bool)
-    for sl, dw in _blocks(n_paths, n_steps, seed, antithetic):
-        mm = sl.stop - sl.start
-        y = np.full(mm, float(y0))
-        lx = np.full(mm, float(np.log(x0)))
-        worst = np.zeros(mm)
-        for k in range(n_steps):
-            t = t0 + k * dt
-            pi = strat.pi_at(t, y)
-            c = strat.c_at(t, y)
-            z = sdt * dw[:, k]
-            lx = lx + (r + pi * sigma * theta - c
-                       - 0.5 * pi ** 2 * sigma ** 2) * dt + pi * sigma * z
-            y = y + (rho(t, y) - r - 0.5 * theta ** 2) * dt - theta * z
-            exited[sl] |= (y < y_lo) | (y > y_hi)
+    y_nodes = result.grid.y_nodes
+    errors = np.zeros(n_paths)
+
+    def accumulate(sl, k, t, y, lx, pi, c):
+        if k > 0:
             x = np.exp(lx)
-            ref = pbar(t + dt, np.clip(y, y_lo, y_hi))
-            worst = np.maximum(worst, np.abs(x - ref) / x)
-        errors[sl] = worst
+            ref = result.pbar(t, np.clip(y, y_nodes[0], y_nodes[-1]))
+            errors[sl] = np.maximum(errors[sl], np.abs(x - ref) / x)
+
+    exited = stream_paths(result.market, result.rho.phi, t0, n_steps,
+                          n_paths, seed, antithetic,
+                          result.pbar.invert(t0, x0), accumulate, x0,
+                          result.strategy.controls)
     return errors, float(np.mean(exited))
 
 
@@ -456,9 +448,11 @@ def check_operator_cross_validation(result, probes=None, n_steps=400,
         worst = max(worst, diff / budget)
         details.append({"t": t, "y": y, "grid": grid_val,
                         "mc": est.value, "se": est.se,
+                        "exit_fraction": est.exit_fraction,
                         "passed": bool(diff <= budget)})
     return CheckResult("operator_cross_validation", bool(ok), worst, 1.0,
-                       {"probes": details})
+                       {"probes": details,
+                        "exit_fraction": _max_exit(details)})
 
 
 def check_subgame_perturbation(result, x0, t0=0.0, window=0.1,
@@ -492,28 +486,27 @@ def check_subgame_perturbation(result, x0, t0=0.0, window=0.1,
     worst = 0.0
     for p in perturbations:
         def controls(t, y, p=p):
-            pi = strat.pi_at(t, y)
-            c = strat.c_at(t, y)
+            pi, c = strat.controls(t, y)
             if t < t_end:
                 if p["pi"] is not None:
                     pi = np.full_like(np.atleast_1d(pi), p["pi"])
                 if p["c"] is not None:
                     c = np.full_like(np.atleast_1d(c), p["c"])
             return pi, c
-        _, pert = estimate_J(m, result.utility, result.discount,
-                             result.rho.phi, strat, result.pbar, x0,
-                             controls=controls, **kw)
-        d = base - pert  # equilibrium minus deviation, pathwise
-        pairs = 0.5 * (d[0::2] + d[1::2])
-        mean = float(pairs.mean())
-        se = float(pairs.std(ddof=1) / np.sqrt(len(pairs)))
+        est, pert = estimate_J(m, result.utility, result.discount,
+                               result.rho.phi, strat, result.pbar, x0,
+                               controls=controls, **kw)
+        # equilibrium minus deviation, pathwise
+        mean, se = mean_se(base - pert, antithetic=True)
         passed = mean >= -k_se * se
         ok &= passed
         worst = min(worst, mean / se if se > 0 else 0.0)
         details.append({"perturbation": p, "gain_of_deviation": -mean,
-                        "se": se, "passed": bool(passed)})
+                        "se": se, "exit_fraction": est.exit_fraction,
+                        "passed": bool(passed)})
     return CheckResult("subgame_perturbation", bool(ok), -worst, k_se,
-                       {"window": window, "cases": details})
+                       {"window": window, "cases": details,
+                        "exit_fraction": _max_exit(details)})
 
 
 def full_report(result, x0=None, t0=0.0, n_steps=400, n_paths=20000,

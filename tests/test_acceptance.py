@@ -262,6 +262,7 @@ def test_bounds_suite_both_references(crra_201, mixed_201, capsys):
 # 7. grid operator vs its pathwise stochastic representation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_operator_matches_pathwise_estimate(mixed_401, capsys):
     probes = [(0.0, -1.0), (0.0, 1.0), (0.2, 0.0), (0.5, -0.5), (0.5, 0.5)]
     c = check_operator_cross_validation(mixed_401, probes=probes,

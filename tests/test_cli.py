@@ -129,6 +129,28 @@ def test_cli_solve(cfg_file, tmp_path, capsys):
     assert header == "t,x,G,v"
 
 
+def test_cli_solve_outputs_are_reproducible(cfg_file, tmp_path):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["solve", "--config", cfg_file, "--out", out1]) == 0
+    assert main(["solve", "--config", cfg_file, "--out", out2]) == 0
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    assert "meta.json" in names
+    for name in names:
+        with open(os.path.join(out1, name), "rb") as a, \
+                open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_cli_unknown_boundary_exits_naming_it(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(SMALL_CFG.replace("[solver]\ntol = 1e-8",
+                                   "[solver]\ntol = 1e-8\nboundary = expo"))
+    rc = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'expo'" in capsys.readouterr().err
+
+
 def test_cli_simulate(cfg_file, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["simulate", "--config", cfg_file, "--out", out,
@@ -160,6 +182,33 @@ def test_cli_verify(cfg_file, tmp_path, capsys):
     assert report["passed"] is True
     printed = capsys.readouterr().out
     assert "overall: PASS" in printed
+
+
+def test_cli_verify_strict_fails_on_grid_exits(tmp_path, capsys):
+    # a y-grid this narrow loses most paths within the horizon
+    p = tmp_path / "narrow.cfg"
+    p.write_text(SMALL_CFG
+                 .replace("y_min = -4.0\ny_max = 4.0", "y_min = -0.5\n"
+                          "y_max = 0.5")
+                 .replace("n_t = 101\nn_y = 101", "n_t = 41\nn_y = 41")
+                 .replace("n_paths = 2000\nn_steps = 100",
+                          "n_paths = 200\nn_steps = 50"))
+    out = tmp_path / "out"
+    argv = ["verify", "--config", str(p), "--out", str(out), "--x0", "1.0"]
+    with pytest.warns(UserWarning, match="left the y-grid"):
+        rc = main(argv)
+    report = json.load(open(out / "report.json"))
+    assert rc == (0 if report["passed"] else 1)
+    exits = [c["details"]["exit_fraction"] for c in report["checks"]
+             if "exit_fraction" in c["details"]]
+    assert len(exits) == 4 and max(exits) > 0.01
+    capsys.readouterr()
+    os.remove(out / "report.json")
+    assert main(argv + ["--strict"]) == 2
+    captured = capsys.readouterr()
+    assert "left the y-grid" in captured.err
+    assert "overall:" in captured.out
+    assert json.load(open(out / "report.json")) == report
 
 
 def test_cli_verify_exit_code_on_failure(cfg_file, tmp_path, monkeypatch):

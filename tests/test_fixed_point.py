@@ -141,6 +141,22 @@ def test_iterate_with_damping_still_converges():
     assert rho.residual_sup <= 1e-8
 
 
+@pytest.mark.parametrize("kw", [dict(damping=0.0), dict(damping=-0.5),
+                                dict(damping=3.0), dict(max_iter=0),
+                                dict(tol=0.0), dict(tol=-1e-8)])
+def test_iterate_rejects_bad_settings_before_sweeping(kw, monkeypatch):
+    sweeps = []
+    real_sweep = OperatorWorkspace.sweep
+    monkeypatch.setattr(OperatorWorkspace, "sweep",
+                        lambda self, *a, **k: sweeps.append(1)
+                        or real_sweep(self, *a, **k))
+    u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
+    d = HyperbolicDiscount(alpha=1.0, beta=2.0)
+    with pytest.raises(ModelError, match=next(iter(kw))):
+        iterate(MARKET, u, d, small_grid(41, 41, lim=5.0), **kw)
+    assert sweeps == []
+
+
 def test_kappa_default():
     g = small_grid()
     u = CRRAUtility(gamma=0.5)

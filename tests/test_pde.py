@@ -85,6 +85,12 @@ def test_zero_diffusion_allowed_negative_rejected():
         BackwardStepper(g, -0.1)
 
 
+def test_unknown_boundary_rejected_by_name():
+    g = Grid.regular(1.0, -1.0, 1.0, 11, 9)
+    with pytest.raises(SolverError, match="'expo'"):
+        BackwardStepper(g, 0.1, boundary="expo")
+
+
 def test_crank_nicolson_second_order_in_time():
     D, b, c, q = 0.08, -0.11, -0.05, 1.2
     errs = []
