@@ -49,7 +49,6 @@ for t in np.linspace(0.0, market.T, 6):
 print("\n   x      G(0, x) grid     V(0, x) exact")
 from tcmerton import value_function
 xs = [0.5, 1.0, 2.0, 4.0]
-vs = value_function(res.rho, res.pbar, market, utility, discount,
-                    [0.0], xs, G_field=res.G)
+vs = value_function(res.rho, res.pbar, [0.0], xs)
 for x, g_val in zip(xs, vs.G[0]):
     print("  %.1f   %12.6f   %14.6f" % (x, g_val, oracle.V(0.0, x)))

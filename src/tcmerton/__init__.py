@@ -16,8 +16,7 @@ from .model import (CRRAUtility, CallableDiscount, DiscountModel,
                     UtilityModel, elasticity_bounds)
 from .grids import Grid, ScalarField2D, deriv_y, deriv_yy
 from .pde import BackwardStepper, solve_backward
-from .fixed_point import (OperatorWorkspace, RhoField, apply_F, iterate,
-                          kappa_default, solve_delta_family)
+from .fixed_point import OperatorWorkspace, RhoField, iterate
 from .strategy import (PBarField, StrategySurface, ValueSurface,
                        compute_pbar, controls_from_pbar, value_function)
 from .montecarlo import (MCEstimate, PathEnsemble, estimate_F_mc,

@@ -25,12 +25,9 @@ from .model import (CRRAUtility, ExponentialDiscount, HyperbolicDiscount,
                     PseudoExponentialDiscount)
 from .montecarlo import estimate_J, simulate_wealth
 from .strategy import value_function
-from .verify import full_report
+from .verify import EXIT_FRACTION_LIMIT, full_report
 
 FLOAT_FMT = "%.17g"
-# largest share of Monte Carlo paths that may leave the y-grid before
-# simulate and verify warn (or, with --strict, fail)
-EXIT_FRACTION_LIMIT = 0.01
 
 _SCHEMA = {
     "market": {"r", "mu", "sigma", "T"},
@@ -142,17 +139,24 @@ class RunConfig:
 # writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return FLOAT_FMT % float(x)
+def _write_csv(path, header, columns, fmts=None):
+    """Write equal-length columns as CSV rows under the header line;
+    each column is formatted with its entry of fmts (FLOAT_FMT when
+    fmts is None)."""
+    fmts = fmts or [FLOAT_FMT] * len(columns)
+    table = np.column_stack([np.ravel(c) for c in columns])
+    np.savetxt(path, table, fmt=fmts, delimiter=",", header=header,
+               comments="")
+
+
+def _product(a, b):
+    """The two key columns of a table over a x b, row-major."""
+    return [np.repeat(a, len(b)), np.tile(b, len(a))]
 
 
 def write_field_csv(path, grid, values, name):
-    with open(path, "w") as f:
-        f.write("t,y,%s\n" % name)
-        for i, t in enumerate(grid.t_nodes):
-            for j, y in enumerate(grid.y_nodes):
-                f.write("%s,%s,%s\n" % (_fmt(t), _fmt(y),
-                                        _fmt(values[i, j])))
+    _write_csv(path, "t,y," + name,
+               _product(grid.t_nodes, grid.y_nodes) + [values])
 
 
 def read_field_csv(path):
@@ -166,31 +170,21 @@ def read_field_csv(path):
 
 def write_strategy_csv(path, result):
     g = result.grid
-    with open(path, "w") as f:
-        f.write("t,y,pbar,pi_star,c_star\n")
-        for i, t in enumerate(g.t_nodes):
-            for j, y in enumerate(g.y_nodes):
-                f.write("%s,%s,%s,%s,%s\n" % (
-                    _fmt(t), _fmt(y), _fmt(result.pbar.values[i, j]),
-                    _fmt(result.strategy.pi[i, j]),
-                    _fmt(result.strategy.c[i, j])))
+    _write_csv(path, "t,y,pbar,pi_star,c_star",
+               _product(g.t_nodes, g.y_nodes)
+               + [result.pbar.values, result.strategy.pi,
+                  result.strategy.c])
 
 
 def write_value_csv(path, surface):
-    with open(path, "w") as f:
-        f.write("t,x,G,v\n")
-        for t, x, Gv, vv in surface.rows():
-            f.write("%s,%s,%s,%s\n" % (_fmt(t), _fmt(x), _fmt(Gv),
-                                       _fmt(vv)))
+    _write_csv(path, "t,x,G,v",
+               _product(surface.t, surface.x) + [surface.G, surface.v])
 
 
 def write_paths_csv(path, ens):
-    with open(path, "w") as f:
-        f.write("path,time,Y,X\n")
-        for p in range(ens.n_paths):
-            for j, s in enumerate(ens.times):
-                f.write("%d,%s,%s,%s\n" % (p, _fmt(s), _fmt(ens.Y[p, j]),
-                                           _fmt(ens.X[p, j])))
+    _write_csv(path, "path,time,Y,X",
+               _product(np.arange(ens.n_paths), ens.times) + [ens.Y, ens.X],
+               ["%d"] + [FLOAT_FMT] * 3)
 
 
 def _model_meta(cfg):
@@ -250,9 +244,7 @@ def cmd_solve(args):
         lo, hi = result.pbar.wealth_range(float(tp))
         x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
     x_probes = np.geomspace(x_lo * 1.001, x_hi * 0.999, 25)
-    surface = value_function(result.rho, result.pbar, cfg.market,
-                             cfg.utility, cfg.discount, t_probes, x_probes,
-                             G_field=result.G)
+    surface = value_function(result.rho, result.pbar, t_probes, x_probes)
     write_value_csv(os.path.join(out, "value.csv"), surface)
     meta = _model_meta(cfg)
     meta.update({

@@ -10,14 +10,17 @@ point phi = F[phi], found by damped Picard iteration.
 The whole family {delta^phi(., s, .) : s on the time grid} shares one
 tridiagonal factorization structure per time step, so it is marched in
 a single backward sweep with all active terminal times batched as
-right-hand-side columns; the integrals over s defining F (and, when
-requested, the aggregated value surface and its discounting source
-term) are accumulated on the fly.  Memory stays O(n_t * n_y).
+right-hand-side columns.  Every sweep accumulates three integrals over
+s on the fly: F[phi], the aggregated value surface G and its
+discounting source term.  The sweep that meets the tolerance is run at
+the converged field, so its G and source term travel on the RhoField
+and no further sweep is needed.  Memory stays O(n_t * n_y).
 """
 
 import logging
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,14 @@ from .grids import Grid, ScalarField2D, deriv_y
 from .pde import BackwardStepper, terminal_log_slopes
 
 logger = logging.getLogger(__name__)
+
+
+class Sweep(NamedTuple):
+    """The three aggregates of one delta-family sweep, each (n_t, n_y)."""
+
+    F: np.ndarray        # F[phi]
+    G: np.ndarray        # aggregated value surface
+    hjb_rhs: np.ndarray  # h_t-weighted aggregation (value-equation source)
 
 
 class OperatorWorkspace:
@@ -49,18 +60,14 @@ class OperatorWorkspace:
         self.U0 = np.asarray(utility.U0(grid.y_nodes), dtype=float)
         self.q_lo, self.q_hi = terminal_log_slopes(self.U0, grid.dy)
 
-    def sweep(self, phi_values, want_F=True, want_G=False, want_rhs=False,
-              keep_family=False):
+    def sweep(self, phi_values):
         """One backward sweep of the delta family under the rate field
         phi_values (n_t, n_y).
 
-        Returns a dict with any of:
-          F        -- (n_t, n_y) values of F[phi]
-          G        -- aggregated value surface sum of h-weighted deltas
-          rhs      -- same aggregation with h_t weights (the source term
-                      appearing in the equilibrium value equation)
-          family   -- {n: (delta, delta_y)} where row k of delta is
-                      delta(t_n, s_{n+k}, .)
+        Returns a Sweep of three (n_t, n_y) arrays: F[phi], the
+        aggregated value surface G (the h-weighted integral of the
+        deltas) and hjb_rhs (the same integral with h_t weights, the
+        source term of the equilibrium value equation).
         """
         g = self.grid
         market = self.market
@@ -74,16 +81,7 @@ class OperatorWorkspace:
         stepper = BackwardStepper(g, half_theta2, drift,
                                   boundary=self.boundary,
                                   q_lo=self.q_lo, q_hi=self.q_hi)
-        out = {}
-        if want_F:
-            out["F_num"] = np.empty((n_t, n_y))
-            out["F_den"] = np.empty((n_t, n_y))
-        if want_G:
-            out["G"] = np.empty((n_t, n_y))
-        if want_rhs:
-            out["rhs"] = np.empty((n_t, n_y))
-        if keep_family:
-            out["family"] = {}
+        F_num, F_den, G, rhs = (np.empty((n_t, n_y)) for _ in range(4))
 
         def reduce(n, M):
             m = M.shape[0]
@@ -100,15 +98,10 @@ class OperatorWorkspace:
                 raise IntegrityError(
                     "delta_y lost its sign at time index %d; the grid is "
                     "too coarse or the y-range too wide" % n)
-            if want_F:
-                out["F_num"][n] = (w * htv) @ My + htv[-1] * My[-1]
-                out["F_den"][n] = (w * hv) @ My + hv[-1] * My[-1]
-            if want_G:
-                out["G"][n] = (w * hv) @ M + hv[-1] * M[-1]
-            if want_rhs:
-                out["rhs"][n] = (w * htv) @ M + htv[-1] * M[-1]
-            if keep_family:
-                out["family"][n] = (M.copy(), My)
+            F_num[n] = (w * htv) @ My + htv[-1] * My[-1]
+            F_den[n] = (w * hv) @ My + hv[-1] * My[-1]
+            G[n] = (w * hv) @ M + hv[-1] * M[-1]
+            rhs[n] = (w * htv) @ M + htv[-1] * M[-1]
 
         M = self.U0[None, :].copy()
         reduce(n_t - 1, M)
@@ -123,60 +116,30 @@ class OperatorWorkspace:
             M = new
             reduce(n, M)
 
-        if want_F:
-            if np.any(out["F_den"] >= 0):
-                raise IntegrityError("F denominator must be negative")
-            F = out["F_num"] / out["F_den"]
-            lo, hi = self.discount.rho_bounds(g.T)
-            slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-            if F.min() < lo - slack or F.max() > hi + slack:
-                raise IntegrityError(
-                    "F[phi] range [%g, %g] leaves the discount-rate range "
-                    "[%g, %g]" % (F.min(), F.max(), lo, hi))
-            out["F"] = F
-        return out
-
-    def apply_F(self, phi: ScalarField2D) -> ScalarField2D:
-        return ScalarField2D(self.grid, self.sweep(phi.values)["F"])
-
-
-def apply_F(phi, market, utility, discount, boundary="exp"):
-    """One application of the discount-rate operator F to the field phi."""
-    ws = OperatorWorkspace(market, utility, discount, phi.grid, boundary)
-    return ws.apply_F(phi)
-
-
-def solve_delta_family(market, utility, discount, grid, phi_values,
-                       boundary="exp"):
-    """All delta surfaces under the rate field phi, keyed by the index of
-    the running time; used by the Monte Carlo cross-checks."""
-    ws = OperatorWorkspace(market, utility, discount, grid, boundary)
-    return ws.sweep(phi_values, want_F=False, keep_family=True)["family"]
-
-
-def kappa_default(market, utility, discount, grid, boundary="exp"):
-    """Default Lipschitz budget for the y-slope of rho_bar.
-
-    The slope scale C0 is estimated empirically from F applied to the
-    zero field, inflated by a factor 2; the budget is
-    max(sup|rho_h|, 2 C0).  Overestimating kappa only widens the bound
-    envelopes that are checked downstream, so the inflation is safe.
-    """
-    ws = OperatorWorkspace(market, utility, discount, grid, boundary)
-    F0 = ws.sweep(np.zeros((grid.n_t, grid.n_y)))["F"]
-    C0_est = 2.0 * float(np.max(np.abs(deriv_y(F0, grid.dy))))
-    return max(discount.rho_norm(grid.T), 2.0 * C0_est)
+        if np.any(F_den >= 0):
+            raise IntegrityError("F denominator must be negative")
+        F = F_num / F_den
+        lo, hi = self.discount.rho_bounds(g.T)
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        if F.min() < lo - slack or F.max() > hi + slack:
+            raise IntegrityError(
+                "F[phi] range [%g, %g] leaves the discount-rate range "
+                "[%g, %g]" % (F.min(), F.max(), lo, hi))
+        return Sweep(F, G, rhs)
 
 
 @dataclass
 class RhoField:
-    """Converged equilibrium discount-rate field with iteration metadata."""
+    """Converged equilibrium discount-rate field with iteration metadata
+    and the aggregates of the sweep run at it."""
 
     phi: ScalarField2D
     residual_sup: float
     iterations: int
     residual_history: list = field(default_factory=list)
     kappa: float = 0.0
+    G: np.ndarray = None        # aggregated value surface at phi
+    hjb_rhs: np.ndarray = None  # its value-equation source term
 
     @property
     def grid(self):
@@ -191,13 +154,19 @@ class RhoField:
 
 
 def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
-            damping=1.0, boundary="exp", workspace=None):
+            damping=1.0, boundary="exp"):
     """Damped Picard iteration phi <- (1-d) phi + d F[phi] from phi = 0.
 
     Stops when sup|F[phi] - phi| + sup|d/dy (F[phi] - phi)| <= tol.  The
     damping factor is halved (down to 1/8) whenever the residual fails
     to decrease.  Raises ConvergenceError with the residual history on
     exhaustion of max_iter.
+
+    kappa, the Lipschitz budget for the y-slope of rho_bar, is
+    max(sup|rho_h|, 2 C0) with C0 = 2 sup|d/dy F[0]|, the slope scale
+    of the first sweep inflated by a factor 2.  Overestimating kappa
+    only widens the bound envelopes that are checked downstream, so the
+    inflation is safe.
     """
     if not 0 < damping <= 1:
         raise ModelError("damping must lie in (0, 1], got %r" % (damping,))
@@ -205,14 +174,13 @@ def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
         raise ModelError("max_iter must be at least 1, got %r" % (max_iter,))
     if not tol > 0:
         raise ModelError("tol must be positive, got %r" % (tol,))
-    ws = workspace or OperatorWorkspace(market, utility, discount, grid,
-                                        boundary)
+    ws = OperatorWorkspace(market, utility, discount, grid, boundary)
     rho_norm = discount.rho_norm(grid.T)
     phi = np.zeros((grid.n_t, grid.n_y))
     history = []
     kappa = None
     for it in range(1, max_iter + 2):
-        F = ws.sweep(phi)["F"]
+        F, G, hjb_rhs = ws.sweep(phi)
         if kappa is None:
             C0_est = 2.0 * float(np.max(np.abs(deriv_y(F, grid.dy))))
             kappa = max(rho_norm, 2.0 * C0_est)
@@ -224,7 +192,7 @@ def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
                     it - 1, res, damping)
         if res <= tol:
             rho = RhoField(ScalarField2D(grid, phi), res, it - 1,
-                           history, kappa)
+                           history, kappa, G, hjb_rhs)
             slope = float(np.max(np.abs(deriv_y(phi, grid.dy))))
             if slope > kappa:
                 warnings.warn(

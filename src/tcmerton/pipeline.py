@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import OperatorWorkspace, RhoField, iterate
+from .fixed_point import RhoField, iterate
 from .grids import Grid
 from .strategy import PBarField, StrategySurface, compute_pbar, \
     controls_from_pbar
@@ -24,7 +24,6 @@ class SolveResult:
     G: np.ndarray        # aggregated value surface on the (t, y) grid
     hjb_rhs: np.ndarray  # h_t-weighted aggregation (value-equation source)
     kappa: float
-    boundary: str = "exp"
 
 
 def solve(market, utility, discount, grid, tol=1e-8, max_iter=50,
@@ -32,12 +31,9 @@ def solve(market, utility, discount, grid, tol=1e-8, max_iter=50,
     """Run the full pipeline on one model quadruple."""
     utility.validate()
     discount.validate(market.T)
-    ws = OperatorWorkspace(market, utility, discount, grid, boundary)
     rho = iterate(market, utility, discount, grid, tol=tol,
-                  max_iter=max_iter, damping=damping, boundary=boundary,
-                  workspace=ws)
-    agg = ws.sweep(rho.values, want_F=False, want_G=True, want_rhs=True)
+                  max_iter=max_iter, damping=damping, boundary=boundary)
     pbar = compute_pbar(rho, market, utility, boundary=boundary)
     strat = controls_from_pbar(pbar, market, utility)
     return SolveResult(market, utility, discount, grid, rho, pbar, strat,
-                       agg["G"], agg["rhs"], rho.kappa, boundary)
+                       rho.G, rho.hjb_rhs, rho.kappa)

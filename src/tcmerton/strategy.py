@@ -22,7 +22,6 @@ from scipy.interpolate import CubicSpline
 from .errors import IntegrityError, ModelError, WealthRangeError
 from .grids import Grid, ScalarField2D, _locate, bilinear, deriv_y
 from .pde import solve_backward
-from .fixed_point import OperatorWorkspace, RhoField
 
 
 @dataclass
@@ -60,10 +59,6 @@ class PBarField:
 
     def d_dy(self):
         return deriv_y(self.values, self.grid.dy)
-
-    def y_range(self, t):
-        """(y_min, y_max) of the grid, for callers probing coverage."""
-        return float(self.grid.y_nodes[0]), float(self.grid.y_nodes[-1])
 
     def wealth_range(self, t):
         """Wealth interval representable at time t (pbar decreasing)."""
@@ -163,32 +158,13 @@ class ValueSurface:
     G: np.ndarray  # (len(t), len(x))
     v: np.ndarray  # marginal value G_x = exp(y(t, x))
 
-    def rows(self):
-        for i, ti in enumerate(self.t):
-            for j, xj in enumerate(self.x):
-                yield (float(ti), float(xj),
-                       float(self.G[i, j]), float(self.v[i, j]))
 
-
-def aggregate_value_field(rho, market, utility, discount, boundary="exp"):
-    """The surfaces G(t, y) and the h_t-weighted companion used in the
-    equilibrium value equation, from one delta-family sweep."""
-    ws = OperatorWorkspace(market, utility, discount, rho.grid, boundary)
-    out = ws.sweep(rho.values, want_F=False, want_G=True, want_rhs=True)
-    return out["G"], out["rhs"]
-
-
-def value_function(rho, pbar, market, utility, discount, t_probes, x_probes,
-                   G_field=None, boundary="exp"):
+def value_function(rho, pbar, t_probes, x_probes):
     """Evaluate the equilibrium value G and marginal value v = e^y at
-    the tensor product of t_probes and x_probes.
-
-    G_field may be passed to reuse an already computed aggregation.
+    the tensor product of t_probes and x_probes, from the value surface
+    rho.G aggregated by the sweep at the converged field.
     """
     grid = rho.grid
-    if G_field is None:
-        G_field, _ = aggregate_value_field(rho, market, utility, discount,
-                                           boundary)
     t_probes = np.atleast_1d(np.asarray(t_probes, dtype=float))
     x_probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
     if np.any(t_probes < 0) or np.any(t_probes > grid.T):
@@ -197,7 +173,7 @@ def value_function(rho, pbar, market, utility, discount, t_probes, x_probes,
     v = np.empty_like(G)
     for i, t in enumerate(t_probes):
         k, wt = _locate(grid.t_nodes, float(t))
-        row = (1.0 - wt) * G_field[k] + wt * G_field[k + 1]
+        row = (1.0 - wt) * rho.G[k] + wt * rho.G[k + 1]
         spline = CubicSpline(grid.y_nodes, row)
         y = pbar.invert(t, x_probes)
         G[i] = spline(y)

@@ -147,8 +147,7 @@ def test_wealth_identity_and_step_scaling(mixed_201, capsys):
 def test_value_agrees_with_simulated_reward(mixed_401, capsys):
     res = mixed_401
     x0 = float(res.pbar(0.0, 0.0))
-    vs = value_function(res.rho, res.pbar, res.market, res.utility,
-                        res.discount, [0.0], [x0], G_field=res.G)
+    vs = value_function(res.rho, res.pbar, [0.0], [x0])
     G0 = float(vs.G[0, 0])
     est = estimate_J(res.market, res.utility, res.discount, res.rho.phi,
                      res.strategy, res.pbar, x0, n_steps=1000,
@@ -164,14 +163,9 @@ def test_value_agrees_with_simulated_reward(mixed_401, capsys):
         x_lo, x_hi = res.pbar.wealth_range(t)
         lx = np.log(x_lo) + np.array([0.3, 0.45, 0.6]) * np.log(x_hi / x_lo)
         xs = np.exp(lx)
-        up = value_function(res.rho, res.pbar, res.market, res.utility,
-                            res.discount, [t], list(xs * (1 + h)),
-                            G_field=res.G)
-        dn = value_function(res.rho, res.pbar, res.market, res.utility,
-                            res.discount, [t], list(xs * (1 - h)),
-                            G_field=res.G)
-        mid = value_function(res.rho, res.pbar, res.market, res.utility,
-                             res.discount, [t], list(xs), G_field=res.G)
+        up = value_function(res.rho, res.pbar, [t], list(xs * (1 + h)))
+        dn = value_function(res.rho, res.pbar, [t], list(xs * (1 - h)))
+        mid = value_function(res.rho, res.pbar, [t], list(xs))
         fd = (up.G[0] - dn.G[0]) / (2 * h * xs)
         worst_fd = max(worst_fd, float(np.max(np.abs(fd / mid.v[0] - 1.0))))
     ok_fd = worst_fd < 5e-3

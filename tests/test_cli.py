@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tcmerton.cli import (ConfigError, RunConfig, main, read_field_csv,
-                          write_field_csv)
+                          write_field_csv, write_paths_csv)
 from tcmerton.grids import Grid
 from tcmerton.model import (CRRAUtility, ExponentialDiscount,
                             HyperbolicDiscount, MixedPowerUtility)
+from tcmerton.montecarlo import PathEnsemble
 from tcmerton.verify import CheckResult, VerificationReport
 
 SMALL_CFG = """
@@ -111,6 +112,29 @@ def test_field_csv_roundtrip_full_precision(tmp_path):
     assert np.array_equal(back, vals)  # %.17g preserves doubles exactly
 
 
+def test_csv_writers_match_per_element_formatting(tmp_path):
+    # reference: one formatted line per element, looping over the table
+    rng = np.random.default_rng(1)
+    g = Grid.regular(1.0, -1.0, 1.0, 5, 7)
+    vals = rng.standard_normal((5, 7)) * 1e-300
+    path = tmp_path / "f.csv"
+    write_field_csv(str(path), g, vals, "f")
+    ref = "t,y,f\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % (t, y, vals[i, j])
+        for i, t in enumerate(g.t_nodes) for j, y in enumerate(g.y_nodes))
+    assert path.read_text() == ref
+
+    ens = PathEnsemble(times=np.linspace(0.0, 1.0, 4),
+                       Y=rng.standard_normal((12, 4)),
+                       X=np.exp(rng.standard_normal((12, 4))))
+    path = tmp_path / "paths.csv"
+    write_paths_csv(str(path), ens)
+    ref = "path,time,Y,X\n" + "".join(
+        "%d,%.17g,%.17g,%.17g\n" % (p, s, ens.Y[p, j], ens.X[p, j])
+        for p in range(12) for j, s in enumerate(ens.times))
+    assert path.read_text() == ref
+
+
 def test_cli_solve(cfg_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     rc = main(["solve", "--config", cfg_file, "--out", out])
@@ -208,6 +232,7 @@ def test_cli_verify_strict_fails_on_grid_exits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "left the y-grid" in captured.err
     assert "overall:" in captured.out
+    assert "WARN" in captured.out
     assert json.load(open(out / "report.json")) == report
 
 

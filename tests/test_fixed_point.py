@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from tcmerton import pipeline
 from tcmerton.errors import ConvergenceError, ModelError
-from tcmerton.fixed_point import (OperatorWorkspace, apply_F, iterate,
-                                  kappa_default, solve_delta_family)
-from tcmerton.grids import Grid, ScalarField2D
+from tcmerton.fixed_point import OperatorWorkspace, iterate
+from tcmerton.grids import Grid, deriv_y
 from tcmerton.model import (CRRAUtility, CallableDiscount,
                             ExponentialDiscount, HyperbolicDiscount,
                             MarketModel, MixedPowerUtility,
@@ -57,14 +57,14 @@ def flat_rate_oracle(market, gamma, disc, n=2001, tol=1e-13):
     return s, F
 
 
-def test_apply_F_constant_rate_is_exact():
+def test_sweep_constant_rate_is_exact():
     # with exponential discounting every weighted average of rho_h
     # collapses to rho0, independent of the candidate field
     u = CRRAUtility(gamma=0.5)
     d = ExponentialDiscount(rho0=0.1)
     g = small_grid()
-    F0 = apply_F(ScalarField2D.constant(g, 0.0), MARKET, u, d)
-    assert np.max(np.abs(F0.values - 0.1)) < 1e-12
+    F0 = OperatorWorkspace(MARKET, u, d, g).sweep(np.zeros((g.n_t, g.n_y))).F
+    assert np.max(np.abs(F0 - 0.1)) < 1e-12
 
 
 def test_iterate_exponential_converges_in_one_iteration():
@@ -141,15 +141,20 @@ def test_iterate_with_damping_still_converges():
     assert rho.residual_sup <= 1e-8
 
 
-@pytest.mark.parametrize("kw", [dict(damping=0.0), dict(damping=-0.5),
-                                dict(damping=3.0), dict(max_iter=0),
-                                dict(tol=0.0), dict(tol=-1e-8)])
-def test_iterate_rejects_bad_settings_before_sweeping(kw, monkeypatch):
+def _count_sweeps(monkeypatch):
     sweeps = []
     real_sweep = OperatorWorkspace.sweep
     monkeypatch.setattr(OperatorWorkspace, "sweep",
                         lambda self, *a, **k: sweeps.append(1)
                         or real_sweep(self, *a, **k))
+    return sweeps
+
+
+@pytest.mark.parametrize("kw", [dict(damping=0.0), dict(damping=-0.5),
+                                dict(damping=3.0), dict(max_iter=0),
+                                dict(tol=0.0), dict(tol=-1e-8)])
+def test_iterate_rejects_bad_settings_before_sweeping(kw, monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
     u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
     d = HyperbolicDiscount(alpha=1.0, beta=2.0)
     with pytest.raises(ModelError, match=next(iter(kw))):
@@ -157,29 +162,48 @@ def test_iterate_rejects_bad_settings_before_sweeping(kw, monkeypatch):
     assert sweeps == []
 
 
-def test_kappa_default():
+def test_iterate_kappa():
     g = small_grid()
     u = CRRAUtility(gamma=0.5)
     d = ExponentialDiscount(rho0=0.1)
     # flat F[0] means no slope contribution: kappa = sup |rho_h|
-    assert kappa_default(MARKET, u, d, g) == pytest.approx(0.1)
+    assert iterate(MARKET, u, d, g).kappa == pytest.approx(0.1)
     um = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
     dh = HyperbolicDiscount(alpha=1.0, beta=2.0)
-    assert kappa_default(MARKET, um, dh, small_grid(81, 81, 5.0)) >= 2.0
+    assert iterate(MARKET, um, dh, small_grid(81, 81, 5.0)).kappa >= 2.0
 
 
 def test_delta_family_structure():
+    # the sign of delta_y itself is enforced inside every sweep
     u = CRRAUtility(gamma=0.5)
     d = HyperbolicDiscount(alpha=1.0, beta=2.0)
     g = small_grid(21, 41)
-    fam = solve_delta_family(MARKET, u, d, g,
-                             np.zeros((g.n_t, g.n_y)))
-    assert set(fam) == set(range(g.n_t))
-    U0 = u.U0(g.y_nodes)
-    for n, (delta, delta_y) in fam.items():
-        assert delta.shape == (g.n_t - n, g.n_y)
-        assert np.allclose(delta[0], U0)      # own-terminal row
-        assert np.all(delta_y < 0)
+    G = OperatorWorkspace(MARKET, u, d, g).sweep(
+        np.zeros((g.n_t, g.n_y))).G
+    assert np.allclose(G[-1], u.U0(g.y_nodes))  # own-terminal row
+    assert np.all(deriv_y(G, g.dy) < 0)
+
+
+def test_solve_sweeps_once_per_iteration_and_once_more(monkeypatch):
+    # one sweep per Picard update plus the sweep that meets tol; the
+    # aggregates come from that last sweep, not from an extra one
+    sweeps = _count_sweeps(monkeypatch)
+    u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
+    d = HyperbolicDiscount(alpha=1.0, beta=2.0)
+    res = pipeline.solve(MARKET, u, d, small_grid(41, 41, lim=5.0))
+    assert res.rho.iterations > 1
+    assert len(sweeps) == res.rho.iterations + 1
+    assert res.G is res.rho.G and res.hjb_rhs is res.rho.hjb_rhs
+
+
+def test_rho_carries_the_aggregates_of_its_own_sweep():
+    u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
+    d = HyperbolicDiscount(alpha=1.0, beta=2.0)
+    g = small_grid(41, 41, lim=5.0)
+    rho = iterate(MARKET, u, d, g)
+    fresh = OperatorWorkspace(MARKET, u, d, g).sweep(rho.values)
+    assert np.array_equal(rho.G, fresh.G)
+    assert np.array_equal(rho.hjb_rhs, fresh.hjb_rhs)
 
 
 def test_workspace_rejects_mismatched_horizon():

@@ -90,20 +90,12 @@ def test_value_function_matches_closed_form(crra_solution):
     oracle = MertonOracle(MARKET, 0.5, 0.1)
     t_probes = [0.0, 0.5]
     x_probes = np.array([0.5, 1.0, 2.0, 4.0])
-    vs = value_function(rho, pbar, MARKET, u, d, t_probes, x_probes)
+    vs = value_function(rho, pbar, t_probes, x_probes)
     ref = oracle.V(np.asarray(t_probes)[:, None], x_probes[None, :])
     assert np.max(np.abs(vs.G - ref) / np.abs(ref)) < 1e-3
     ref_v = np.exp(oracle.y_of(np.asarray(t_probes)[:, None],
                                x_probes[None, :]))
     assert np.max(np.abs(vs.v - ref_v) / ref_v) < 1e-3
-
-
-def test_value_surface_rows(crra_solution):
-    u, d, g, rho, pbar = crra_solution
-    vs = value_function(rho, pbar, MARKET, u, d, [0.0], [1.0, 2.0])
-    rows = list(vs.rows())
-    assert len(rows) == 2
-    assert rows[0][:2] == (0.0, 1.0)
 
 
 def test_mixed_power_pbar_sane():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tcmerton.model import (CRRAUtility, ExponentialDiscount,
                             HyperbolicDiscount, MarketModel,
                             MixedPowerUtility)
 from tcmerton.pipeline import solve
-from tcmerton.verify import (GAUSS_TAIL_C, CheckResult, MertonOracle,
+from tcmerton.verify import (EXIT_FRACTION_LIMIT, GAUSS_TAIL_C,
+                             CheckResult, MertonOracle,
                              VerificationReport, check_bounds_suite,
                              check_first_order_conditions,
                              check_hjb_residual, check_merton_reduction,
@@ -156,6 +158,24 @@ def test_bounds_suite(crra_result, mixed_result):
     for res in (crra_result, mixed_result):
         c = check_bounds_suite(res)
         assert c.passed, c.details
+        assert c.passed == (c.value <= c.tolerance)
+
+
+def test_bounds_suite_metric_reports_the_excess(crra_result):
+    # push one consumption fraction 10% above its upper envelope
+    r3, _ = pbar_ratio_bounds(MARKET, crra_result.discount,
+                              crra_result.utility.r1, MARKET.T * 0.5)
+    c = crra_result.strategy.c.copy()
+    n = crra_result.grid.n_t // 2
+    c[n, 0] = 1.1 / r3
+    broken = SimpleNamespace(**vars(crra_result))
+    broken.strategy = SimpleNamespace(c=c, pi=crra_result.strategy.pi)
+    chk = check_bounds_suite(broken)
+    assert not chk.passed
+    assert not chk.details["consumption_fraction"]["passed"]
+    assert chk.passed == (chk.value <= chk.tolerance)
+    # 10% over a bound whose allowance is slack = 1e-9 of it
+    assert chk.value == pytest.approx((0.1 - 1e-9) / 1e-9, rel=1e-6)
 
 
 def test_wealth_identity(crra_result):
@@ -202,3 +222,18 @@ def test_check_result_line_format():
     assert c.line().startswith("FAIL demo")
     rep = VerificationReport([c])
     assert not rep.passed
+
+
+def test_pass_with_paths_off_the_grid_prints_warn():
+    ok = CheckResult("ok", True, 0.0, 1.0)
+    exits = CheckResult("mc", True, 0.0, 1.0,
+                        {"exit_fraction": EXIT_FRACTION_LIMIT * 2})
+    fails = CheckResult("bad", False, 2.0, 1.0, {"exit_fraction": 0.5})
+    assert ok.line().startswith("PASS ok")
+    assert exits.line().startswith("WARN mc")
+    assert fails.line().startswith("FAIL bad")
+    assert VerificationReport([ok, exits]).passed
+    assert VerificationReport([ok, exits]).summary_lines()[-1] == \
+        "overall: WARN (2/2 checks passed)"
+    assert VerificationReport([exits, fails]).summary_lines()[-1] == \
+        "overall: FAIL (1/2 checks passed)"
