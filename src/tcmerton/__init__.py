@@ -16,7 +16,8 @@ from .model import (CRRAUtility, CallableDiscount, DiscountModel,
                     UtilityModel, elasticity_bounds)
 from .grids import Grid, ScalarField2D, deriv_y, deriv_yy
 from .pde import BackwardStepper, solve_backward
-from .fixed_point import OperatorWorkspace, RhoField, iterate
+from .fixed_point import (OperatorWorkspace, RhoField, SolverSettings,
+                          iterate)
 from .strategy import (PBarField, StrategySurface, ValueSurface,
                        compute_pbar, controls_from_pbar, value_function)
 from .montecarlo import (MCEstimate, PathEnsemble, estimate_F_mc,

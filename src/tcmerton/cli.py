@@ -13,12 +13,13 @@ import logging
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import pipeline
 from .errors import TCMertonError
+from .fixed_point import SolverSettings
 from .grids import Grid
 from .model import (CRRAUtility, ExponentialDiscount, HyperbolicDiscount,
                     MarketModel, MixedPowerUtility,
@@ -34,7 +35,7 @@ _SCHEMA = {
     "discount": {"kind", "rho0", "alpha", "beta", "weights", "rates"},
     "utility": {"kind", "gamma", "alpha", "gamma1", "gamma2"},
     "grid": {"y_min", "y_max", "n_t", "n_y"},
-    "solver": {"tol", "max_iter", "damping", "boundary"},
+    "solver": {f.name for f in fields(SolverSettings)},
     "mc": {"n_paths", "n_steps", "seed", "antithetic", "record_stride"},
     "outputs": {"dir"},
 }
@@ -44,16 +45,39 @@ class ConfigError(TCMertonError):
     pass
 
 
+def _read(section, key, as_type=float):
+    """The value of key in a config section as as_type (float, int, str,
+    bool, or tuple for a comma-separated list of floats).
+
+    Raises ConfigError naming [section] key when the key is missing or
+    its value does not convert.
+    """
+    if key not in section:
+        raise ConfigError("missing key [%s] %s" % (section.name, key))
+    try:
+        if as_type is bool:
+            return section.getboolean(key)
+        if as_type is tuple:
+            return tuple(float(v) for v in section[key].split(","))
+        return as_type(section[key])
+    except ValueError as exc:
+        raise ConfigError("[%s] %s: %s" % (section.name, key, exc)) from exc
+
+
+def _read_fields(section, owner):
+    """Every key of a config section, each read as the type of the field
+    of the dataclass owner that it names."""
+    types = {f.name: f.type for f in fields(owner)}
+    return {key: _read(section, key, types[key]) for key in section}
+
+
 @dataclass
 class RunConfig:
     market: MarketModel
     discount: object
     utility: object
     grid: Grid
-    tol: float = 1e-8
-    max_iter: int = 50
-    damping: float = 1.0
-    boundary: str = "exp"
+    solver: SolverSettings = field(default_factory=SolverSettings)
     n_paths: int = 20000
     n_steps: int = 400
     seed: int = 0
@@ -83,53 +107,46 @@ class RunConfig:
                 raise ConfigError("missing config section [%s]" % required)
 
         mk = cp["market"]
-        market = MarketModel(r=mk.getfloat("r"), mu=mk.getfloat("mu"),
-                             sigma=mk.getfloat("sigma"), T=mk.getfloat("T"))
+        market = MarketModel(r=_read(mk, "r"), mu=_read(mk, "mu"),
+                             sigma=_read(mk, "sigma"), T=_read(mk, "T"))
 
         dc = cp["discount"]
         kind = dc.get("kind", "exponential").lower()
         if kind == "exponential":
-            discount = ExponentialDiscount(rho0=dc.getfloat("rho0"))
+            discount = ExponentialDiscount(rho0=_read(dc, "rho0"))
         elif kind == "hyperbolic":
-            discount = HyperbolicDiscount(alpha=dc.getfloat("alpha"),
-                                          beta=dc.getfloat("beta"))
+            discount = HyperbolicDiscount(alpha=_read(dc, "alpha"),
+                                          beta=_read(dc, "beta"))
         elif kind == "pseudo_exponential":
-            w = tuple(float(v) for v in dc.get("weights").split(","))
-            r = tuple(float(v) for v in dc.get("rates").split(","))
-            discount = PseudoExponentialDiscount(weights=w, rates=r)
+            discount = PseudoExponentialDiscount(
+                weights=_read(dc, "weights", tuple),
+                rates=_read(dc, "rates", tuple))
         else:
             raise ConfigError("unknown discount kind %r" % kind)
 
         ut = cp["utility"]
         ukind = ut.get("kind", "crra").lower()
         if ukind == "crra":
-            utility = CRRAUtility(gamma=ut.getfloat("gamma"))
+            utility = CRRAUtility(gamma=_read(ut, "gamma"))
         elif ukind == "mixed_power":
-            utility = MixedPowerUtility(alpha=ut.getfloat("alpha"),
-                                        gamma1=ut.getfloat("gamma1"),
-                                        gamma2=ut.getfloat("gamma2"))
+            utility = MixedPowerUtility(alpha=_read(ut, "alpha"),
+                                        gamma1=_read(ut, "gamma1"),
+                                        gamma2=_read(ut, "gamma2"))
         else:
             raise ConfigError("unknown utility kind %r" % ukind)
 
         gr = cp["grid"]
-        grid = Grid.regular(market.T, gr.getfloat("y_min"),
-                            gr.getfloat("y_max"), gr.getint("n_t"),
-                            gr.getint("n_y"))
+        grid = Grid.regular(market.T, _read(gr, "y_min"),
+                            _read(gr, "y_max"), _read(gr, "n_t", int),
+                            _read(gr, "n_y", int))
 
+        # keys left out take the defaults of SolverSettings and RunConfig
         kw = {}
         if "solver" in cp:
-            sv = cp["solver"]
-            kw["tol"] = sv.getfloat("tol", 1e-8)
-            kw["max_iter"] = sv.getint("max_iter", 50)
-            kw["damping"] = sv.getfloat("damping", 1.0)
-            kw["boundary"] = sv.get("boundary", "exp")
+            kw["solver"] = SolverSettings(
+                **_read_fields(cp["solver"], SolverSettings))
         if "mc" in cp:
-            mc = cp["mc"]
-            kw["n_paths"] = mc.getint("n_paths", 20000)
-            kw["n_steps"] = mc.getint("n_steps", 400)
-            kw["seed"] = mc.getint("seed", 0)
-            kw["antithetic"] = mc.getboolean("antithetic", True)
-            kw["record_stride"] = mc.getint("record_stride", 10)
+            kw.update(_read_fields(cp["mc"], cls))
         if "outputs" in cp:
             kw["out_dir"] = cp["outputs"].get("dir")
         return cls(market, discount, utility, grid, **kw)
@@ -224,8 +241,7 @@ def _check_coverage(exit_fraction, strict):
 
 def _solve(cfg):
     return pipeline.solve(cfg.market, cfg.utility, cfg.discount, cfg.grid,
-                          tol=cfg.tol, max_iter=cfg.max_iter,
-                          damping=cfg.damping, boundary=cfg.boundary)
+                          settings=cfg.solver)
 
 
 def cmd_solve(args):
@@ -251,7 +267,7 @@ def cmd_solve(args):
         "iterations": result.rho.iterations,
         "residual_sup": result.rho.residual_sup,
         "residual_history": result.rho.residual_history,
-        "kappa": result.kappa,
+        "kappa": result.rho.kappa,
     })
     with open(os.path.join(out, "meta.json"), "w") as f:
         json.dump(meta, f, indent=2)

@@ -18,17 +18,55 @@ and no further sweep is needed.  Memory stays O(n_t * n_y).
 """
 
 import logging
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, IntegrityError, ModelError
 from .grids import Grid, ScalarField2D, deriv_y
-from .pde import BackwardStepper, terminal_log_slopes
+from .pde import BOUNDARIES, BackwardStepper, terminal_log_slopes
 
 logger = logging.getLogger(__name__)
+
+
+def _is(value, kind):
+    """value is an instance of the numbers ABC kind, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """Numerical settings of one solve, checked on construction.
+
+    tol, max_iter and damping drive the Picard iteration (see iterate);
+    boundary is the boundary rule of every backward PDE solved on the
+    way, the delta-family sweeps and pbar, which must agree.  A bad
+    value raises ModelError naming the field and the value.
+    """
+
+    tol: float = 1e-8
+    max_iter: int = 50
+    damping: float = 1.0
+    boundary: str = "exp"
+
+    def __post_init__(self):
+        if not (_is(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise ModelError("tol must be finite and positive, got %r"
+                             % (self.tol,))
+        if not (_is(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ModelError("max_iter must be an integer >= 1, got %r"
+                             % (self.max_iter,))
+        if not (_is(self.damping, numbers.Real) and 0 < self.damping <= 1):
+            raise ModelError("damping must lie in (0, 1], got %r"
+                             % (self.damping,))
+        if self.boundary not in BOUNDARIES:
+            raise ModelError("boundary must be one of %s, got %r"
+                             % (", ".join(map(repr, BOUNDARIES)),
+                                self.boundary))
 
 
 class Sweep(NamedTuple):
@@ -136,10 +174,11 @@ class RhoField:
     phi: ScalarField2D
     residual_sup: float
     iterations: int
-    residual_history: list = field(default_factory=list)
-    kappa: float = 0.0
-    G: np.ndarray = None        # aggregated value surface at phi
-    hjb_rhs: np.ndarray = None  # its value-equation source term
+    residual_history: list
+    kappa: float
+    G: np.ndarray        # aggregated value surface at phi
+    hjb_rhs: np.ndarray  # its value-equation source term
+    settings: SolverSettings  # the settings phi was solved under
 
     @property
     def grid(self):
@@ -153,9 +192,9 @@ class RhoField:
         return self.phi(t, y)
 
 
-def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
-            damping=1.0, boundary="exp"):
-    """Damped Picard iteration phi <- (1-d) phi + d F[phi] from phi = 0.
+def iterate(market, utility, discount, grid, settings=SolverSettings()):
+    """Damped Picard iteration phi <- (1-d) phi + d F[phi] from phi = 0,
+    with d = settings.damping and the sweeps under settings.boundary.
 
     Stops when sup|F[phi] - phi| + sup|d/dy (F[phi] - phi)| <= tol.  The
     damping factor is halved (down to 1/8) whenever the residual fails
@@ -168,13 +207,8 @@ def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
     only widens the bound envelopes that are checked downstream, so the
     inflation is safe.
     """
-    if not 0 < damping <= 1:
-        raise ModelError("damping must lie in (0, 1], got %r" % (damping,))
-    if max_iter < 1:
-        raise ModelError("max_iter must be at least 1, got %r" % (max_iter,))
-    if not tol > 0:
-        raise ModelError("tol must be positive, got %r" % (tol,))
-    ws = OperatorWorkspace(market, utility, discount, grid, boundary)
+    tol, max_iter, damping = settings.tol, settings.max_iter, settings.damping
+    ws = OperatorWorkspace(market, utility, discount, grid, settings.boundary)
     rho_norm = discount.rho_norm(grid.T)
     phi = np.zeros((grid.n_t, grid.n_y))
     history = []
@@ -192,7 +226,7 @@ def iterate(market, utility, discount, grid, tol=1e-8, max_iter=50,
                     it - 1, res, damping)
         if res <= tol:
             rho = RhoField(ScalarField2D(grid, phi), res, it - 1,
-                           history, kappa, G, hjb_rhs)
+                           history, kappa, G, hjb_rhs, settings)
             slope = float(np.max(np.abs(deriv_y(phi, grid.dy))))
             if slope > kappa:
                 warnings.warn(

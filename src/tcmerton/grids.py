@@ -156,10 +156,12 @@ class ScalarField2D:
 
 def _locate(nodes, x):
     """Cell index and fractional offset for clamped linear interpolation."""
-    x = np.clip(x, nodes[0], nodes[-1])
-    h = nodes[1] - nodes[0]
-    i = np.clip(((x - nodes[0]) / h).astype(int), 0, len(nodes) - 2)
-    w = (x - nodes[i]) / h
+    lo = nodes[0]
+    x = np.minimum(np.maximum(x, lo), nodes[-1])
+    h = nodes[1] - lo
+    i = np.minimum(np.maximum(((x - lo) / h).astype(np.intp), 0),
+                   len(nodes) - 2)
+    w = (x - nodes.take(i)) / h
     return i, w
 
 
@@ -168,9 +170,13 @@ def bilinear(grid, values, t, y):
     y = np.asarray(y, dtype=float)
     i, wt = _locate(grid.t_nodes, t)
     j, wy = _locate(grid.y_nodes, y)
-    v00 = values[i, j]
-    v01 = values[i, j + 1]
-    v10 = values[i + 1, j]
-    v11 = values[i + 1, j + 1]
-    return ((1 - wt) * ((1 - wy) * v00 + wy * v01)
-            + wt * ((1 - wy) * v10 + wy * v11))
+    # gather the four corners by flat index from the row-major values
+    n_y = values.shape[1]
+    flat = values.reshape(-1)
+    k = i * n_y + j
+    v00 = flat.take(k)
+    v01 = flat.take(k + 1)
+    v10 = flat.take(k + n_y)
+    v11 = flat.take(k + n_y + 1)
+    my = 1 - wy
+    return (1 - wt) * (my * v00 + wy * v01) + wt * (my * v10 + wy * v11)

@@ -175,6 +175,11 @@ class PseudoExponentialDiscount(DiscountModel):
                 float(max(self.rho(0.0, T), self.rho(0.0, 0.0))))
 
 
+# time nodes per axis of the dense (t, s) sample from which
+# CallableDiscount estimates its rate range
+_CALLABLE_SAMPLE_N = 201
+
+
 class CallableDiscount(DiscountModel):
     """User-supplied pair (h, dh/dt) of vectorized callables.
 
@@ -183,10 +188,9 @@ class CallableDiscount(DiscountModel):
     form exists.
     """
 
-    def __init__(self, h, dh_dt, sample_n=201):
+    def __init__(self, h, dh_dt):
         self._h = h
         self._dh_dt = dh_dt
-        self.sample_n = int(sample_n)
 
     def h(self, t, s):
         return np.asarray(self._h(t, s), dtype=float)
@@ -195,7 +199,7 @@ class CallableDiscount(DiscountModel):
         return np.asarray(self._dh_dt(t, s), dtype=float)
 
     def rho_bounds(self, T):
-        t = np.linspace(0.0, T, self.sample_n)
+        t = np.linspace(0.0, T, _CALLABLE_SAMPLE_N)
         tt, ss = np.meshgrid(t, t, indexing="ij")
         mask = tt <= ss
         r = self.rho(tt[mask], ss[mask])
@@ -262,8 +266,10 @@ class UtilityModel:
         return self.U(self.I0(y))
 
     def U0p(self, y):
-        """d/dy U(I0(y)) = e^y I0'(y); always negative."""
-        return self._exp_checked(y) * self.I0p(y)
+        """d/dy U(I0(y)) = e^y I0'(y); always negative.  I0' is written
+        out so that e^y is evaluated once."""
+        ey = self._exp_checked(y)
+        return ey * (ey / self.Uprime2(self.I(ey)))
 
     def validate(self, n=1000, x_lo=1e-6, x_hi=1e6):
         """Sampled sanity checks: monotonicity, concavity, elasticity in
@@ -377,12 +383,17 @@ class MixedPowerUtility(UtilityModel):
         return a * x ** g1 / g1 + (1 - a) * x ** g2 / g2
 
     def Uprime(self, x):
-        x = self._check_positive(x)
+        return self._uprime(self._check_positive(x))
+
+    def Uprime2(self, x):
+        return self._uprime2(self._check_positive(x))
+
+    # unchecked U' and U'' for the Newton loop of I, whose x is checked once
+    def _uprime(self, x):
         a, g1, g2 = self.alpha, self.gamma1, self.gamma2
         return a * x ** (g1 - 1) + (1 - a) * x ** (g2 - 1)
 
-    def Uprime2(self, x):
-        x = self._check_positive(x)
+    def _uprime2(self, x):
         a, g1, g2 = self.alpha, self.gamma1, self.gamma2
         return a * (g1 - 1) * x ** (g1 - 2) + (1 - a) * (g2 - 1) * x ** (g2 - 2)
 
@@ -391,8 +402,9 @@ class MixedPowerUtility(UtilityModel):
         scalar = w.ndim == 0
         lw = np.atleast_1d(np.log(w))
         # initial bracket in z = log x from the single-power asymptotes
-        lo = np.minimum(lw / (self.gamma1 - 1), lw / (self.gamma2 - 1)) - 2.0
-        hi = np.maximum(lw / (self.gamma1 - 1), lw / (self.gamma2 - 1)) + 2.0
+        z1, z2 = lw / (self.gamma1 - 1), lw / (self.gamma2 - 1)
+        lo = np.minimum(z1, z2) - 2.0
+        hi = np.maximum(z1, z2) + 2.0
         # widen until log U'(e^z) brackets lw (U' strictly decreasing in z)
         for _ in range(200):
             bad = np.log(self.Uprime(np.exp(lo))) < lw
@@ -406,12 +418,13 @@ class MixedPowerUtility(UtilityModel):
             hi[bad] += 2.0
         z = 0.5 * (lo + hi)
         for _ in range(200):
-            x = np.exp(z)
-            f = np.log(self.Uprime(x)) - lw
+            x = self._check_positive(np.exp(z))
+            up = self._uprime(x)
+            f = np.log(up) - lw
             hi = np.where(f < 0, z, hi)
             lo = np.where(f > 0, z, lo)
             # Newton step on log U'(e^z); df/dz = x U''(x) / U'(x) < 0
-            df = x * self.Uprime2(x) / self.Uprime(x)
+            df = x * self._uprime2(x) / up
             zn = z - f / df
             # fall back to bisection when Newton leaves the bracket
             inside = (zn > lo) & (zn < hi)

@@ -34,7 +34,11 @@ _BLOCK = 4096  # paths per generator block; even, so antithetic pairs
 
 
 def _blocks(n_paths, n_steps, seed, antithetic):
-    """Yield (path slice, standard-normal increments) block by block."""
+    """Yield (path slice, standard-normal increments) block by block.
+
+    The increments are drawn path by path and handed over step by step,
+    as an (n_steps, paths) array whose row k drives step k.
+    """
     start = 0
     b = 0
     while start < n_paths:
@@ -42,11 +46,11 @@ def _blocks(n_paths, n_steps, seed, antithetic):
         rng = np.random.default_rng([int(seed), b])
         if antithetic:
             z = rng.standard_normal((m // 2, n_steps))
-            dw = np.empty((m, n_steps))
-            dw[0::2] = z
-            dw[1::2] = -z
+            dw = np.empty((n_steps, m))
+            dw[:, 0::2] = z.T
+            dw[:, 1::2] = -z.T
         else:
-            dw = rng.standard_normal((m, n_steps))
+            dw = rng.standard_normal((m, n_steps)).T
         yield slice(start, start + m), dw
         b += 1
         start += m
@@ -109,7 +113,7 @@ def stream_paths(market, phi, t0, n_steps, n_paths, seed, antithetic, y0,
             accumulate(sl, k, t, y, lx, pi, c)
             if k == n_steps:
                 break
-            z = sdt * dw[:, k]
+            z = sdt * dw[k]
             if lx is not None:
                 lx = lx + (r + pi * sigma * theta - c
                            - 0.5 * pi ** 2 * sigma ** 2) * dt + pi * sigma * z
@@ -127,8 +131,6 @@ class PathEnsemble:
     Y: np.ndarray              # (n_paths, len(times))
     X: np.ndarray = None       # wealth, present for joint simulations
     exited: np.ndarray = None  # paths that left the y-grid at some step
-    seed: int = 0
-    antithetic: bool = True
 
     @property
     def n_paths(self):
@@ -167,7 +169,7 @@ def _record(market, phi, y0, t0, n_steps, n_paths, seed, antithetic,
 
     exited = stream_paths(market, phi, t0, n_steps, n_paths, seed,
                           antithetic, y0, accumulate, x0, controls)
-    return PathEnsemble(times, Y, X, exited, seed, antithetic)
+    return PathEnsemble(times, Y, X, exited)
 
 
 def simulate_Y(market, rho, y0, t0=0.0, n_steps=200, n_paths=10000,

@@ -22,6 +22,9 @@ from scipy.linalg import solve_banded
 from .errors import SolverError
 from .grids import Grid, ScalarField2D
 
+# the boundary rules BackwardStepper implements (see the module docstring)
+BOUNDARIES = ("exp", "linearity")
+
 
 def terminal_log_slopes(g, dy):
     """Log-slopes of the terminal data at the two boundaries, or None
@@ -55,15 +58,14 @@ class BackwardStepper:
                  source=None, boundary="exp", q_lo=None, q_hi=None):
         if diffusion < 0:
             raise SolverError("diffusion must be >= 0")
-        if boundary not in ("exp", "linearity"):
-            raise SolverError("unknown boundary %r; expected 'exp' or "
-                              "'linearity'" % (boundary,))
+        if boundary not in BOUNDARIES:
+            raise SolverError("unknown boundary %r; expected one of %s"
+                              % (boundary, ", ".join(map(repr, BOUNDARIES))))
         self.grid = grid
         self.D = float(diffusion)
         self.b = _coef_rows(drift, grid)
         self.c = _coef_rows(reaction, grid)
         self.f = _coef_rows(source, grid)
-        self.boundary = boundary
         dy = grid.dy
         self._bc = []
         for q in (q_lo, q_hi):

@@ -1,12 +1,9 @@
-"""End-to-end solve: equilibrium rate field, pbar, controls and the
-aggregated value surfaces, bundled for reuse by the verification suite
-and the command-line front end."""
+"""End-to-end solve: equilibrium rate field, pbar and controls, bundled
+for reuse by the verification suite and the command-line front end."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fixed_point import RhoField, iterate
+from .fixed_point import RhoField, SolverSettings, iterate
 from .grids import Grid
 from .strategy import PBarField, StrategySurface, compute_pbar, \
     controls_from_pbar
@@ -14,6 +11,9 @@ from .strategy import PBarField, StrategySurface, compute_pbar, \
 
 @dataclass
 class SolveResult:
+    """One solved model; the aggregated value surface G, its source
+    term hjb_rhs and the slope budget kappa live on rho."""
+
     market: object
     utility: object
     discount: object
@@ -21,19 +21,13 @@ class SolveResult:
     rho: RhoField
     pbar: PBarField
     strategy: StrategySurface
-    G: np.ndarray        # aggregated value surface on the (t, y) grid
-    hjb_rhs: np.ndarray  # h_t-weighted aggregation (value-equation source)
-    kappa: float
 
 
-def solve(market, utility, discount, grid, tol=1e-8, max_iter=50,
-          damping=1.0, boundary="exp"):
+def solve(market, utility, discount, grid, settings=SolverSettings()):
     """Run the full pipeline on one model quadruple."""
     utility.validate()
     discount.validate(market.T)
-    rho = iterate(market, utility, discount, grid, tol=tol,
-                  max_iter=max_iter, damping=damping, boundary=boundary)
-    pbar = compute_pbar(rho, market, utility, boundary=boundary)
+    rho = iterate(market, utility, discount, grid, settings)
+    pbar = compute_pbar(rho, market, utility)
     strat = controls_from_pbar(pbar, market, utility)
-    return SolveResult(market, utility, discount, grid, rho, pbar, strat,
-                       rho.G, rho.hjb_rhs, rho.kappa)
+    return SolveResult(market, utility, discount, grid, rho, pbar, strat)

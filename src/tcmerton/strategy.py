@@ -95,18 +95,17 @@ class PBarField:
         return float(y[0]) if scalar else y
 
 
-def compute_pbar(rho, market, utility, boundary="exp"):
-    """Solve the backward PDE for pbar under the rate field rho.
-
-    rho may be a RhoField or a ScalarField2D.
-    """
+def compute_pbar(rho, market, utility):
+    """Solve the backward PDE for pbar under the rate field of the
+    RhoField rho, with the boundary rule rho was solved under."""
     phi = rho.values
     grid = rho.grid
     half_theta2 = 0.5 * market.theta ** 2
     drift = half_theta2 + phi - market.r
     u = solve_backward(grid, half_theta2, drift=drift, reaction=-market.r,
                        source=lambda t, y: utility.I0(y),
-                       terminal=utility.I0(grid.y_nodes), boundary=boundary)
+                       terminal=utility.I0(grid.y_nodes),
+                       boundary=rho.settings.boundary)
     return PBarField(grid, u.values)
 
 

@@ -302,7 +302,7 @@ def check_hjb_residual(result, tol=5e-3, trim=2, t_window=(0.02, 0.97)):
     """
     g = result.grid
     m = result.market
-    L = result.G
+    L = result.rho.G
     L_t = (L[2:] - L[:-2]) / (2 * g.dt)
     mid = slice(1, g.n_t - 1)
     L_y = deriv_y(L, g.dy)[mid]
@@ -311,7 +311,7 @@ def check_hjb_residual(result, tol=5e-3, trim=2, t_window=(0.02, 0.97)):
     rho = result.rho.values[mid]
     res = (L_t + 0.5 * m.theta ** 2 * L_yy
            + (rho - m.r - 0.5 * m.theta ** 2) * L_y
-           + U0 - result.hjb_rhs[mid])
+           + U0 - result.rho.hjb_rhs[mid])
     t_mid = g.t_nodes[1:-1]
     sel = (t_mid >= t_window[0] * g.T) & (t_mid <= t_window[1] * g.T)
     inner = res[sel][:, trim:g.n_y - trim]
@@ -374,7 +374,7 @@ def check_bounds_suite(result, slack=1e-9, pi_slack=1e-3):
     excess += [np.max((low - c) * r4 / slack),
                np.max((c - high) * r3 / slack)]
 
-    r1_t, r2_t = elasticity_bounds(u, result.kappa, g.t_nodes, g.T)
+    r1_t, r2_t = elasticity_bounds(u, result.rho.kappa, g.t_nodes, g.T)
     base = m.theta / m.sigma
     lo_pi = np.minimum(base / r2_t, base / r1_t)[:, None]
     hi_pi = np.maximum(base / r2_t, base / r1_t)[:, None]
@@ -386,7 +386,7 @@ def check_bounds_suite(result, slack=1e-9, pi_slack=1e-3):
                  and np.all(pi <= hi_pi + pad_pi))
     details["risky_fraction"] = {
         "min": float(pi.min()), "max": float(pi.max()),
-        "kappa": float(result.kappa), "passed": pi_ok}
+        "kappa": float(result.rho.kappa), "passed": pi_ok}
     ok &= pi_ok
     excess += [np.max(lo_pi - pad_pi - pi) / pad_pi,
                np.max(pi - (hi_pi + pad_pi)) / pad_pi]
@@ -541,7 +541,7 @@ def check_subgame_perturbation(result, x0, t0=0.0, window=0.1,
 
 
 def full_report(result, x0=None, t0=0.0, n_steps=400, n_paths=20000,
-                seed=1234, include_mc=True):
+                seed=1234):
     """Run every applicable check on a SolveResult."""
     g = result.grid
     if x0 is None:
@@ -552,16 +552,14 @@ def full_report(result, x0=None, t0=0.0, n_steps=400, n_paths=20000,
     if (isinstance(result.utility, CRRAUtility)
             and isinstance(result.discount, ExponentialDiscount)):
         checks.insert(0, check_merton_reduction(result))
-    if include_mc:
-        checks.append(check_wealth_identity(
-            result, x0, t0=t0, n_steps=n_steps,
-            n_paths=min(n_paths, 4000), seed=seed))
-        checks.append(check_value_consistency(
-            result, x0, t0=t0, n_steps=n_steps, n_paths=n_paths,
-            seed=seed + 1))
-        checks.append(check_operator_cross_validation(
-            result, n_steps=n_steps, n_paths=n_paths, seed=seed + 2))
-        checks.append(check_subgame_perturbation(
-            result, x0, t0=t0, n_steps=n_steps, n_paths=n_paths,
-            seed=seed + 3))
+    checks += [
+        check_wealth_identity(result, x0, t0=t0, n_steps=n_steps,
+                              n_paths=min(n_paths, 4000), seed=seed),
+        check_value_consistency(result, x0, t0=t0, n_steps=n_steps,
+                                n_paths=n_paths, seed=seed + 1),
+        check_operator_cross_validation(result, n_steps=n_steps,
+                                        n_paths=n_paths, seed=seed + 2),
+        check_subgame_perturbation(result, x0, t0=t0, n_steps=n_steps,
+                                   n_paths=n_paths, seed=seed + 3),
+    ]
     return VerificationReport(checks)

@@ -226,7 +226,7 @@ def _strict_margins_before_horizon(res):
     c = res.strategy.c[sel]
     margins["c_low"] = float(np.min(c - (1.0 / r4)[:, None]))
     margins["c_high"] = float(np.min((1.0 / r3)[:, None] - c))
-    r1_t, r2_t = elasticity_bounds(u, res.kappa, t, g.T)
+    r1_t, r2_t = elasticity_bounds(u, res.rho.kappa, t, g.T)
     base = m.theta / m.sigma
     lo_pi = np.minimum(base / r2_t, base / r1_t)[:, None]
     hi_pi = np.maximum(base / r2_t, base / r1_t)[:, None]

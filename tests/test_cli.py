@@ -6,6 +6,7 @@ import pytest
 
 from tcmerton.cli import (ConfigError, RunConfig, main, read_field_csv,
                           write_field_csv, write_paths_csv)
+from tcmerton.fixed_point import SolverSettings
 from tcmerton.grids import Grid
 from tcmerton.model import (CRRAUtility, ExponentialDiscount,
                             HyperbolicDiscount, MixedPowerUtility)
@@ -59,6 +60,17 @@ def test_runconfig_parsing(cfg_file):
     assert cfg.grid.n_t == 101
     assert cfg.n_paths == 2000
     assert cfg.seed == 7
+    assert cfg.solver == SolverSettings()
+    assert cfg.antithetic is True and cfg.n_steps == 100
+
+
+def test_runconfig_solver_keys_left_out_take_the_defaults(tmp_path):
+    p = tmp_path / "m.cfg"
+    p.write_text(SMALL_CFG.replace("[solver]\ntol = 1e-8",
+                                   "[solver]\nmax_iter = 7\n"
+                                   "boundary = linearity"))
+    cfg = RunConfig.from_file(str(p))
+    assert cfg.solver == SolverSettings(max_iter=7, boundary="linearity")
 
 
 def test_runconfig_hyperbolic_mixed(tmp_path):
@@ -258,6 +270,24 @@ def test_cli_no_output_dir_is_error(cfg_file, monkeypatch, capsys):
     rc = main(["solve", "--config", cfg_file])
     assert rc == 2
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("tol = 1e-8", "tol = abc", "[solver] tol"),
+    ("r = 0.03\n", "", "[market] r"),
+    ("rho0 = 0.1\n", "", "[discount] rho0"),
+    ("n_t = 101\n", "", "[grid] n_t"),
+    ("tol = 1e-8", "tol = 1e-8\ndamping = 0", "damping"),
+])
+def test_cli_config_error_exits_2_naming_the_key(tmp_path, capsys, old, new,
+                                                 named):
+    p = tmp_path / "bad.cfg"
+    p.write_text(SMALL_CFG.replace(old, new))
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", str(p), "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -1,14 +1,20 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcmerton import pipeline
 from tcmerton.errors import ConvergenceError, ModelError
-from tcmerton.fixed_point import OperatorWorkspace, iterate
+from tcmerton.fixed_point import OperatorWorkspace, SolverSettings, iterate
 from tcmerton.grids import Grid, deriv_y
 from tcmerton.model import (CRRAUtility, CallableDiscount,
                             ExponentialDiscount, HyperbolicDiscount,
                             MarketModel, MixedPowerUtility,
                             PseudoExponentialDiscount)
+from tcmerton.pde import BOUNDARIES
 
 MARKET = MarketModel(r=0.03, mu=0.09, sigma=0.2, T=1.0)
 
@@ -130,14 +136,16 @@ def test_convergence_error_carries_history():
     u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
     d = HyperbolicDiscount(alpha=1.0, beta=2.0)
     with pytest.raises(ConvergenceError) as err:
-        iterate(MARKET, u, d, small_grid(81, 81, lim=5.0), max_iter=2)
+        iterate(MARKET, u, d, small_grid(81, 81, lim=5.0),
+                settings=SolverSettings(max_iter=2))
     assert len(err.value.history) >= 2
 
 
 def test_iterate_with_damping_still_converges():
     u = CRRAUtility(gamma=0.5)
     d = HyperbolicDiscount(alpha=1.0, beta=2.0)
-    rho = iterate(MARKET, u, d, small_grid(), damping=0.5, max_iter=100)
+    rho = iterate(MARKET, u, d, small_grid(),
+                  settings=SolverSettings(damping=0.5, max_iter=100))
     assert rho.residual_sup <= 1e-8
 
 
@@ -152,14 +160,51 @@ def _count_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("kw", [dict(damping=0.0), dict(damping=-0.5),
                                 dict(damping=3.0), dict(max_iter=0),
-                                dict(tol=0.0), dict(tol=-1e-8)])
+                                dict(tol=0.0), dict(tol=-1e-8),
+                                dict(tol=math.inf), dict(tol=math.nan),
+                                dict(max_iter=2.5), dict(max_iter=True),
+                                dict(damping=math.nan),
+                                dict(boundary="expo")])
 def test_iterate_rejects_bad_settings_before_sweeping(kw, monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
     d = HyperbolicDiscount(alpha=1.0, beta=2.0)
-    with pytest.raises(ModelError, match=next(iter(kw))):
-        iterate(MARKET, u, d, small_grid(41, 41, lim=5.0), **kw)
+    name, value = next(iter(kw.items()))
+    with pytest.raises(ModelError, match=r"^%s .*%s$" % (name, re.escape(
+            repr(value)))):
+        iterate(MARKET, u, d, small_grid(41, 41, lim=5.0),
+                settings=SolverSettings(**kw))
     assert sweeps == []
+
+
+# any value a field may be given, and values around each field's range
+ANY_VALUE = (st.floats() | st.integers() | st.booleans()
+             | st.sampled_from(BOUNDARIES) | st.text(max_size=12))
+DRAWS = {"tol": st.floats(-1.0, 1.0) | ANY_VALUE,
+         "max_iter": st.integers(-3, 60) | ANY_VALUE,
+         "damping": st.floats(-0.5, 1.5) | ANY_VALUE,
+         "boundary": st.sampled_from(BOUNDARIES) | ANY_VALUE}
+
+
+@given(st.fixed_dictionaries({}, optional=DRAWS))
+def test_solver_settings_build_or_name_the_bad_field(kw):
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    ok = {"tol": lambda v: number(v) and 0 < v < math.inf,
+          "max_iter": lambda v: (isinstance(v, int)
+                                 and not isinstance(v, bool) and v >= 1),
+          "damping": lambda v: number(v) and 0 < v <= 1,
+          "boundary": lambda v: isinstance(v, str) and v in BOUNDARIES}
+    bad = [f for f in DRAWS if f in kw and not ok[f](kw[f])]
+    if not bad:
+        settings = SolverSettings(**kw)
+        assert all(getattr(settings, f) == kw[f] for f in kw)
+        return
+    # fields are checked in declaration order: the first bad one is named
+    with pytest.raises(ModelError, match="^%s " % bad[0]) as err:
+        SolverSettings(**kw)
+    assert repr(kw[bad[0]]) in str(err.value)
 
 
 def test_iterate_kappa():
@@ -193,7 +238,6 @@ def test_solve_sweeps_once_per_iteration_and_once_more(monkeypatch):
     res = pipeline.solve(MARKET, u, d, small_grid(41, 41, lim=5.0))
     assert res.rho.iterations > 1
     assert len(sweeps) == res.rho.iterations + 1
-    assert res.G is res.rho.G and res.hjb_rhs is res.rho.hjb_rhs
 
 
 def test_rho_carries_the_aggregates_of_its_own_sweep():

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcmerton.errors import IntegrityError, WealthRangeError
-from tcmerton.fixed_point import iterate
+from tcmerton.fixed_point import SolverSettings, iterate
 from tcmerton.grids import Grid, ScalarField2D
 from tcmerton.model import (CRRAUtility, ExponentialDiscount,
                             HyperbolicDiscount, MarketModel,
                             MixedPowerUtility)
 from tcmerton.strategy import (PBarField, compute_pbar, controls_from_pbar,
                                value_function)
+from tcmerton.pde import solve_backward
 from tcmerton.verify import MertonOracle
 
 MARKET = MarketModel(r=0.03, mu=0.09, sigma=0.2, T=1.0)
@@ -43,6 +46,23 @@ def test_pbar_invert_roundtrip(crra_solution):
         x = pbar(t, y)
         back = pbar.invert(t, x)
         assert np.max(np.abs(back - y)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def mixed_pbar():
+    u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
+    d = HyperbolicDiscount(alpha=1.0, beta=2.0)
+    g = Grid.regular(MARKET.T, -5, 5, 41, 41)
+    return compute_pbar(iterate(MARKET, u, d, g), MARKET, u)
+
+
+@given(t=st.floats(0.0, MARKET.T), share=st.floats(0.0, 1.0))
+def test_pbar_invert_roundtrips_inside_the_wealth_range(mixed_pbar, t,
+                                                        share):
+    lo, hi = mixed_pbar.wealth_range(t)
+    x = min(max(lo * (hi / lo) ** share, lo), hi)
+    y = mixed_pbar.invert(t, x)
+    assert abs(mixed_pbar(t, y) - x) <= 1e-12 * x
 
 
 def test_pbar_invert_out_of_range(crra_solution):
@@ -111,3 +131,18 @@ def test_mixed_power_pbar_sane():
     # risky fraction carries the sign of theta and is y-dependent here
     assert np.all(strat.pi > 0)
     assert np.ptp(strat.pi[0]) > 1e-3
+
+
+def test_pbar_is_solved_under_the_boundary_of_its_rate_field():
+    # a linearity-boundary rate field fed to an exp-boundary pbar solve
+    # moved pbar by up to 25% on this grid
+    u = MixedPowerUtility(alpha=0.5, gamma1=0.3, gamma2=-1.0)
+    d = HyperbolicDiscount(alpha=1.0, beta=2.0)
+    g = Grid.regular(MARKET.T, -5, 5, 41, 41)
+    rho = iterate(MARKET, u, d, g, SolverSettings(boundary="linearity"))
+    half_theta2 = 0.5 * MARKET.theta ** 2
+    ref = solve_backward(g, half_theta2,
+                         drift=half_theta2 + rho.values - MARKET.r,
+                         reaction=-MARKET.r, source=lambda t, y: u.I0(y),
+                         terminal=u.I0(g.y_nodes), boundary="linearity")
+    assert np.array_equal(compute_pbar(rho, MARKET, u).values, ref.values)
